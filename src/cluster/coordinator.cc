@@ -8,7 +8,6 @@
 #include "common/timer.h"
 #include "server/compiled_query.h"
 #include "server/wire.h"
-#include "sketch/sketch_array.h"
 #include "store/page_format.h"
 #include "trace/trace.h"
 
@@ -608,6 +607,15 @@ Result<QueryAnswer> Coordinator::ExecuteScatter(
   if (snapshot == nullptr) {
     return Status::Unavailable("no merged epoch published yet");
   }
+  // Each shard compensates only the values it tracks, while a merge
+  // re-adds every other shard's tracked mass into the counters, so the
+  // summed shard projections would not be the merged synopsis's.
+  if (service_->sketch_options().topk_size > 0) {
+    return Status::Unimplemented(
+        "scatter-gather needs shards built with top-k off (--topk 0): "
+        "per-shard top-k compensation does not sum to the merged "
+        "synopsis's; use strategy \"merged\"");
+  }
   WallTimer compile_timer;
   SKETCHTREE_ASSIGN_OR_RETURN(
       QueryService::PreparedQuery prepared,
@@ -620,18 +628,17 @@ Result<QueryAnswer> Coordinator::ExecuteScatter(
   answer.num_arrangements = prepared.plan->num_arrangements;
   answer.shards_total = shards_total();
 
-  // The values to scatter, and the xi data to finish the estimate
-  // with. Extended queries resolve against the *merged* summary first —
-  // summaries merge at refresh, so the resolution a single merged
-  // synopsis would produce is exactly what the shards are asked for.
-  const std::vector<uint64_t>* values = nullptr;
+  // The plan whose values are scattered and whose xi data finishes the
+  // estimate. Extended queries resolve against the *merged* summary
+  // first — summaries merge at refresh, so the resolution a single
+  // merged synopsis would produce is exactly what the shards are asked
+  // for.
   const SumPlan* sum_plan = nullptr;
   std::shared_ptr<const SumPlan> extended_plan;
   switch (kind) {
     case QueryKind::kOrdered:
     case QueryKind::kUnordered:
     case QueryKind::kExpression:
-      values = &prepared.plan->plan.values;
       sum_plan = &prepared.plan->plan;
       break;
     case QueryKind::kExtended: {
@@ -651,7 +658,6 @@ Result<QueryAnswer> Coordinator::ExecuteScatter(
         answer.compile_micros = compile_timer.ElapsedSeconds() * 1e6;
         return answer;
       }
-      values = &extended_plan->values;
       sum_plan = extended_plan.get();
       break;
     }
@@ -659,7 +665,7 @@ Result<QueryAnswer> Coordinator::ExecuteScatter(
   answer.compile_micros = compile_timer.ElapsedSeconds() * 1e6;
 
   WallTimer estimate_timer;
-  const std::string values_hex = FormatHexValues(*values);
+  const std::string values_hex = FormatHexValues(sum_plan->values);
   const auto now = std::chrono::steady_clock::now();
   auto call_deadline =
       now + std::chrono::milliseconds(options_.shard_deadline_ms);
@@ -714,28 +720,12 @@ Result<QueryAnswer> Coordinator::ExecuteScatter(
                                first_failure.message());
   }
 
+  // The summed matrix is the merged synopsis's projection; finish it
+  // exactly as ExecuteCompiled does.
   const int s1 = opts.s1;
-  if (kind == QueryKind::kExpression) {
-    // Replays ExecuteCompiled's expression pass with the combined X.
-    answer.estimate = BoostedEstimate(s1, opts.s2, [&](int i, int j) {
-      double combined = x[static_cast<size_t>(i) * s1 + j];
-      double value = 0.0;
-      for (const CompiledQuery::ExprTermPlan& term : prepared.plan->terms) {
-        double x_pow = 1.0;
-        for (int e = 0; e < static_cast<int>(term.values.size()); ++e) {
-          x_pow *= combined;
-        }
-        value += term.coeff * x_pow / term.m_factorial *
-                 term.xi_prods[static_cast<size_t>(i) * s1 + j];
-      }
-      return value;
-    });
-  } else {
-    answer.estimate = BoostedEstimate(s1, opts.s2, [&](int i, int j) {
-      return x[static_cast<size_t>(i) * s1 + j] *
-             sum_plan->xi_sums[static_cast<size_t>(i) * s1 + j];
-    });
-  }
+  answer.estimate = kind == QueryKind::kExpression
+                        ? FinishExpression(prepared.plan->terms, x, s1, opts.s2)
+                        : FinishSum(*sum_plan, x, s1, opts.s2);
   answer.estimate_micros = estimate_timer.ElapsedSeconds() * 1e6;
 
   answer.epoch = max_epoch;

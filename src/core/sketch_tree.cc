@@ -1,15 +1,13 @@
 #include "core/sketch_tree.h"
 
-#include <algorithm>
-
 #include "common/timer.h"
+#include "core/estimate_plan.h"
 #include "enumtree/enum_tree.h"
 #include "metrics/metrics.h"
 #include "stats/sentinel.h"
 #include "trace/trace.h"
 #include "query/pattern_query.h"
 #include "query/unordered.h"
-#include "sketch/estimators.h"
 
 namespace sketchtree {
 
@@ -164,41 +162,26 @@ uint64_t SketchTree::Remove(const LabeledTree& tree) {
 }
 
 Result<uint64_t> SketchTree::MapQuery(const LabeledTree& query) {
-  if (query.empty()) {
-    return Status::InvalidArgument("empty query pattern");
-  }
-  if (PatternEdgeCount(query) > options_.max_pattern_edges) {
-    return Status::InvalidArgument(
-        "query has " + std::to_string(PatternEdgeCount(query)) +
-        " edges but the synopsis only enumerates patterns with up to " +
-        std::to_string(options_.max_pattern_edges));
-  }
+  SKETCHTREE_RETURN_NOT_OK(
+      ValidateQueryPattern(query, options_.max_pattern_edges));
   return canonicalizer_->MapPatternTree(query);
 }
 
+PatternMapFn SketchTree::QueryMapFn() {
+  return [this](const LabeledTree& pattern) { return MapQuery(pattern); };
+}
+
 Result<double> SketchTree::EstimateCountOrdered(const LabeledTree& query) {
-  SKETCHTREE_ASSIGN_OR_RETURN(uint64_t value, MapQuery(query));
-  return streams_->EstimatePoint(value);
+  SKETCHTREE_ASSIGN_OR_RETURN(
+      SumPlan plan, PlanSum(*streams_, std::span(&query, 1), QueryMapFn()));
+  return ExecuteSum(plan, *streams_);
 }
 
 Result<double> SketchTree::EstimateCountOrderedSum(
     const std::vector<LabeledTree>& queries) {
-  if (queries.empty()) {
-    return Status::InvalidArgument("empty query set");
-  }
-  std::vector<uint64_t> values;
-  values.reserve(queries.size());
-  for (const LabeledTree& query : queries) {
-    SKETCHTREE_ASSIGN_OR_RETURN(uint64_t value, MapQuery(query));
-    values.push_back(value);
-  }
-  std::vector<uint64_t> sorted = values;
-  std::sort(sorted.begin(), sorted.end());
-  if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
-    return Status::InvalidArgument(
-        "sum estimator requires distinct patterns (Section 3.2)");
-  }
-  return streams_->EstimateSum(values);
+  SKETCHTREE_ASSIGN_OR_RETURN(SumPlan plan,
+                              PlanSum(*streams_, queries, QueryMapFn()));
+  return ExecuteSum(plan, *streams_);
 }
 
 Result<double> SketchTree::EstimateCount(const LabeledTree& query) {
@@ -209,65 +192,10 @@ Result<double> SketchTree::EstimateCount(const LabeledTree& query) {
 
 Result<double> SketchTree::EstimateExpression(
     const CountExpression& expression) {
-  if (2 * expression.MaxDegree() > options_.independence) {
-    return Status::InvalidArgument(
-        "expression has a degree-" + std::to_string(expression.MaxDegree()) +
-        " product but independence=" + std::to_string(options_.independence) +
-        " only supports degree " + std::to_string(options_.independence / 2) +
-        " (Appendix C needs 2m-wise xi variables)");
-  }
-
-  // Pre-map every term's patterns and validate within-term distinctness
-  // (xi_q^2 == 1 would bias the product estimator otherwise).
-  struct MappedTerm {
-    double coeff;
-    std::vector<uint64_t> values;
-    double m_factorial;
-  };
-  std::vector<MappedTerm> terms;
-  terms.reserve(expression.terms().size());
-  std::vector<uint64_t> all_values;
-  for (const ExprTerm& term : expression.terms()) {
-    MappedTerm mapped;
-    mapped.coeff = term.coeff;
-    for (const LabeledTree& pattern : term.patterns) {
-      SKETCHTREE_ASSIGN_OR_RETURN(uint64_t value, MapQuery(pattern));
-      mapped.values.push_back(value);
-      all_values.push_back(value);
-    }
-    std::vector<uint64_t> sorted = mapped.values;
-    std::sort(sorted.begin(), sorted.end());
-    if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
-      return Status::InvalidArgument(
-          "a product term repeats a pattern; terminals must be distinct "
-          "(Section 4)");
-    }
-    mapped.m_factorial = Factorial(term.degree());
-    terms.push_back(std::move(mapped));
-  }
-
-  // One boosted pass over the whole expression: per instance, evaluate
-  // E'' = sum_t coeff_t * X^{m_t} / m_t! * prod(xi), where X is the
-  // single combined projection over *all* query trees of the expression
-  // — "first computing the addition of all the relevant sketches for
-  // the query trees in the expression" (Section 5.3) — including the
-  // top-k compensation for every referenced value.
-  double estimate = BoostedEstimate(
-      options_.s1, options_.s2, [&](int i, int j) {
-        double x = streams_->CombinedX(i, j, all_values);
-        double value = 0.0;
-        for (const MappedTerm& term : terms) {
-          double xi_prod = 1.0;
-          for (uint64_t v : term.values) xi_prod *= streams_->Xi(i, j, v);
-          double x_pow = 1.0;
-          for (int e = 0; e < static_cast<int>(term.values.size()); ++e) {
-            x_pow *= x;
-          }
-          value += term.coeff * x_pow / term.m_factorial * xi_prod;
-        }
-        return value;
-      });
-  return estimate;
+  SKETCHTREE_ASSIGN_OR_RETURN(
+      ExpressionPlan plan,
+      PlanExpression(*streams_, expression, QueryMapFn()));
+  return ExecuteExpression(plan.projection, plan.terms, *streams_);
 }
 
 Result<double> SketchTree::EstimateExpression(std::string_view text) {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/estimate_plan.h"
 #include "enumtree/pattern.h"
 #include "hashing/label_hasher.h"
 #include "hashing/rabin.h"
@@ -258,6 +259,8 @@ class SketchTree {
 
   /// Validates a query pattern against k and returns its canonical value.
   Result<uint64_t> MapQuery(const LabeledTree& query);
+  /// MapQuery as the estimate planners' mapping function.
+  PatternMapFn QueryMapFn();
 
   /// Shared body of Update/Remove: enumerates the tree's patterns into
   /// the reusable per-tree buffer and flushes it through the batched

@@ -19,6 +19,20 @@ int32_t PatternEdgeCount(const LabeledTree& pattern) {
   return pattern.size() - 1;
 }
 
+Status ValidateQueryPattern(const LabeledTree& pattern,
+                            int max_pattern_edges) {
+  if (pattern.empty()) {
+    return Status::InvalidArgument("empty query pattern");
+  }
+  if (PatternEdgeCount(pattern) > max_pattern_edges) {
+    return Status::InvalidArgument(
+        "query has " + std::to_string(PatternEdgeCount(pattern)) +
+        " edges but the synopsis only enumerates patterns with up to " +
+        std::to_string(max_pattern_edges));
+  }
+  return Status::OK();
+}
+
 std::string PatternToString(const LabeledTree& pattern) {
   return TreeToSExpr(pattern);
 }

@@ -25,6 +25,13 @@ Result<LabeledTree> ParsePatternQuery(std::string_view text,
 /// Number of edges of a pattern (nodes - 1).
 int32_t PatternEdgeCount(const LabeledTree& pattern);
 
+/// Checks that an already-built pattern can be estimated by a synopsis
+/// enumerating patterns with up to `max_pattern_edges` edges: it must be
+/// non-empty and within the limit. The one check behind every query
+/// mapping (SketchTree and the query service's QueryMapper).
+Status ValidateQueryPattern(const LabeledTree& pattern,
+                            int max_pattern_edges);
+
 /// Round-trip helper: the canonical textual form of a pattern.
 std::string PatternToString(const LabeledTree& pattern);
 

@@ -1,41 +1,10 @@
 #include "server/compiled_query.h"
 
-#include <algorithm>
-
 #include "query/pattern_query.h"
 #include "query/unordered.h"
-#include "sketch/estimators.h"
 #include "trace/trace.h"
 
 namespace sketchtree {
-
-namespace {
-
-/// Maps `patterns` in order under the mapper's lock and validates the
-/// sum-estimator distinctness precondition with the exact error
-/// SketchTree::EstimateCountOrderedSum raises, so routing a query
-/// through the compiled path cannot change its failure surface.
-Result<std::vector<uint64_t>> MapDistinct(
-    const std::vector<LabeledTree>& patterns, QueryMapper* mapper) {
-  std::vector<uint64_t> values;
-  values.reserve(patterns.size());
-  {
-    std::lock_guard<std::mutex> lock(mapper->mu());
-    for (const LabeledTree& pattern : patterns) {
-      SKETCHTREE_ASSIGN_OR_RETURN(uint64_t value, mapper->MapQuery(pattern));
-      values.push_back(value);
-    }
-  }
-  std::vector<uint64_t> sorted = values;
-  std::sort(sorted.begin(), sorted.end());
-  if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
-    return Status::InvalidArgument(
-        "sum estimator requires distinct patterns (Section 3.2)");
-  }
-  return values;
-}
-
-}  // namespace
 
 const char* QueryKindName(QueryKind kind) {
   switch (kind) {
@@ -49,86 +18,6 @@ const char* QueryKindName(QueryKind kind) {
       return "expr";
   }
   return "unknown";
-}
-
-SumPlan BuildSumPlan(const VirtualStreams& streams,
-                     std::vector<uint64_t> values) {
-  SumPlan plan;
-  plan.values = std::move(values);
-  // Distinct residues in first-appearance order — the order CombinedX
-  // adds stream sketches in, preserved so replaying the plan performs
-  // the identical floating-point sums.
-  plan.residues.reserve(plan.values.size());
-  for (uint64_t v : plan.values) {
-    uint32_t r = streams.ResidueOf(v);
-    if (std::find(plan.residues.begin(), plan.residues.end(), r) ==
-        plan.residues.end()) {
-      plan.residues.push_back(r);
-    }
-  }
-  const int s1 = streams.s1();
-  const int s2 = streams.s2();
-  plan.xi_sums.resize(static_cast<size_t>(s1) * s2);
-  for (int i = 0; i < s2; ++i) {
-    for (int j = 0; j < s1; ++j) {
-      // xi is ±1 so the running sum is an exact small integer: the
-      // precomputed value equals the per-request recomputation bit for
-      // bit, independent of summation order.
-      double sum = 0.0;
-      for (uint64_t v : plan.values) sum += streams.Xi(i, j, v);
-      plan.xi_sums[static_cast<size_t>(i) * s1 + j] = sum;
-    }
-  }
-  return plan;
-}
-
-std::vector<double> ComputeProjectionMatrix(
-    const VirtualStreams& streams, const std::vector<uint64_t>& values) {
-  const int s1 = streams.s1();
-  const int s2 = streams.s2();
-  // Distinct residues in first-appearance order, matching BuildSumPlan —
-  // the summation order is part of the bit-exactness contract.
-  std::vector<uint32_t> residues;
-  residues.reserve(values.size());
-  for (uint64_t v : values) {
-    uint32_t r = streams.ResidueOf(v);
-    if (std::find(residues.begin(), residues.end(), r) == residues.end()) {
-      residues.push_back(r);
-    }
-  }
-  const bool has_topk = streams.topk(0) != nullptr;
-  std::vector<double> x(static_cast<size_t>(s1) * s2, 0.0);
-  for (int i = 0; i < s2; ++i) {
-    for (int j = 0; j < s1; ++j) {
-      double sum = 0.0;
-      for (uint32_t r : residues) sum += streams.array(r).value(i, j);
-      if (has_topk) {
-        for (uint64_t v : values) {
-          auto freq = streams.topk(streams.ResidueOf(v))->TrackedFrequency(v);
-          if (freq.has_value()) sum += streams.Xi(i, j, v) * *freq;
-        }
-      }
-      x[static_cast<size_t>(i) * s1 + j] = sum;
-    }
-  }
-  return x;
-}
-
-double EstimateSumPlan(const SumPlan& plan, const VirtualStreams& streams) {
-  const int s1 = streams.s1();
-  const int s2 = streams.s2();
-  const bool has_topk = streams.topk(0) != nullptr;
-  return BoostedEstimate(s1, s2, [&](int i, int j) {
-    double x = 0.0;
-    for (uint32_t r : plan.residues) x += streams.array(r).value(i, j);
-    if (has_topk) {
-      for (uint64_t v : plan.values) {
-        auto freq = streams.topk(streams.ResidueOf(v))->TrackedFrequency(v);
-        if (freq.has_value()) x += streams.Xi(i, j, v) * *freq;
-      }
-    }
-    return x * plan.xi_sums[static_cast<size_t>(i) * s1 + j];
-  });
 }
 
 QueryMapper::QueryMapper(const SketchTreeOptions& options,
@@ -151,15 +40,9 @@ Result<QueryMapper> QueryMapper::Create(const SketchTreeOptions& options) {
 }
 
 Result<uint64_t> QueryMapper::MapQuery(const LabeledTree& pattern) {
-  if (pattern.empty()) {
-    return Status::InvalidArgument("empty query pattern");
-  }
-  if (PatternEdgeCount(pattern) > options_.max_pattern_edges) {
-    return Status::InvalidArgument(
-        "query has " + std::to_string(PatternEdgeCount(pattern)) +
-        " edges but the synopsis only enumerates patterns with up to " +
-        std::to_string(options_.max_pattern_edges));
-  }
+  SKETCHTREE_RETURN_NOT_OK(
+      ValidateQueryPattern(pattern, options_.max_pattern_edges));
+  std::lock_guard<std::mutex> lock(*mu_);
   return canonicalizer_->MapPatternTree(pattern);
 }
 
@@ -216,10 +99,9 @@ Result<std::shared_ptr<CompiledQuery>> CompileQuery(
       SKETCHTREE_ASSIGN_OR_RETURN(
           LabeledTree pattern,
           ParsePatternQuery(text, mapper->options().max_pattern_edges));
-      SKETCHTREE_ASSIGN_OR_RETURN(std::vector<uint64_t> values,
-                                  MapDistinct({pattern}, mapper));
-      compiled->plan = BuildSumPlan(streams, std::move(values));
-      compiled->num_arrangements = 1;
+      SKETCHTREE_ASSIGN_OR_RETURN(
+          compiled->plan,
+          PlanSum(streams, std::span(&pattern, 1), mapper->MapFn()));
       break;
     }
     case QueryKind::kUnordered: {
@@ -229,10 +111,9 @@ Result<std::shared_ptr<CompiledQuery>> CompileQuery(
       SKETCHTREE_ASSIGN_OR_RETURN(
           std::vector<LabeledTree> arrangements,
           OrderedArrangements(pattern, max_arrangements));
-      SKETCHTREE_ASSIGN_OR_RETURN(std::vector<uint64_t> values,
-                                  MapDistinct(arrangements, mapper));
+      SKETCHTREE_ASSIGN_OR_RETURN(
+          compiled->plan, PlanSum(streams, arrangements, mapper->MapFn()));
       compiled->num_arrangements = arrangements.size();
-      compiled->plan = BuildSumPlan(streams, std::move(values));
       break;
     }
     case QueryKind::kExtended: {
@@ -244,51 +125,11 @@ Result<std::shared_ptr<CompiledQuery>> CompileQuery(
     case QueryKind::kExpression: {
       SKETCHTREE_ASSIGN_OR_RETURN(CountExpression expression,
                                   CountExpression::Parse(text));
-      if (2 * expression.MaxDegree() > mapper->options().independence) {
-        return Status::InvalidArgument(
-            "expression has a degree-" +
-            std::to_string(expression.MaxDegree()) + " product but " +
-            "independence=" + std::to_string(mapper->options().independence) +
-            " only supports degree " +
-            std::to_string(mapper->options().independence / 2) +
-            " (Appendix C needs 2m-wise xi variables)");
-      }
-      const int s1 = streams.s1();
-      const int s2 = streams.s2();
-      std::vector<uint64_t> all_values;
-      for (const ExprTerm& term : expression.terms()) {
-        CompiledQuery::ExprTermPlan plan;
-        plan.coeff = term.coeff;
-        {
-          std::lock_guard<std::mutex> lock(mapper->mu());
-          for (const LabeledTree& pattern : term.patterns) {
-            SKETCHTREE_ASSIGN_OR_RETURN(uint64_t value,
-                                        mapper->MapQuery(pattern));
-            plan.values.push_back(value);
-          }
-        }
-        std::vector<uint64_t> sorted = plan.values;
-        std::sort(sorted.begin(), sorted.end());
-        if (std::adjacent_find(sorted.begin(), sorted.end()) !=
-            sorted.end()) {
-          return Status::InvalidArgument(
-              "a product term repeats a pattern; terminals must be "
-              "distinct (Section 4)");
-        }
-        plan.m_factorial = Factorial(term.degree());
-        plan.xi_prods.resize(static_cast<size_t>(s1) * s2);
-        for (int i = 0; i < s2; ++i) {
-          for (int j = 0; j < s1; ++j) {
-            double xi_prod = 1.0;
-            for (uint64_t v : plan.values) xi_prod *= streams.Xi(i, j, v);
-            plan.xi_prods[static_cast<size_t>(i) * s1 + j] = xi_prod;
-          }
-        }
-        all_values.insert(all_values.end(), plan.values.begin(),
-                          plan.values.end());
-        compiled->terms.push_back(std::move(plan));
-      }
-      compiled->plan = BuildSumPlan(streams, std::move(all_values));
+      SKETCHTREE_ASSIGN_OR_RETURN(
+          ExpressionPlan plan,
+          PlanExpression(streams, expression, mapper->MapFn()));
+      compiled->plan = std::move(plan.projection);
+      compiled->terms = std::move(plan.terms);
       break;
     }
   }
@@ -317,10 +158,10 @@ Result<std::shared_ptr<const SumPlan>> ResolveExtendedPlan(
     query.extended_plan = nullptr;
     return query.extended_plan;
   }
-  SKETCHTREE_ASSIGN_OR_RETURN(std::vector<uint64_t> values,
-                              MapDistinct(resolved, mapper));
-  query.extended_plan = std::make_shared<const SumPlan>(
-      BuildSumPlan(snapshot.sketch.streams(), std::move(values)));
+  SKETCHTREE_ASSIGN_OR_RETURN(
+      SumPlan plan,
+      PlanSum(snapshot.sketch.streams(), resolved, mapper->MapFn()));
+  query.extended_plan = std::make_shared<const SumPlan>(std::move(plan));
   query.extended_epoch = snapshot.epoch;
   return query.extended_plan;
 }
@@ -335,7 +176,7 @@ Result<double> ExecuteExtended(const CompiledQuery& query,
   SKETCHTREE_ASSIGN_OR_RETURN(std::shared_ptr<const SumPlan> plan,
                               ResolveExtendedPlan(query, snapshot, mapper));
   if (plan == nullptr) return 0.0;
-  return EstimateSumPlan(*plan, snapshot.sketch.streams());
+  return ExecuteSum(*plan, snapshot.sketch.streams());
 }
 
 }  // namespace
@@ -348,38 +189,11 @@ Result<double> ExecuteCompiled(const CompiledQuery& query,
   switch (query.kind) {
     case QueryKind::kOrdered:
     case QueryKind::kUnordered:
-      return EstimateSumPlan(query.plan, streams);
+      return ExecuteSum(query.plan, streams);
     case QueryKind::kExtended:
       return ExecuteExtended(query, snapshot, mapper);
-    case QueryKind::kExpression: {
-      const int s1 = streams.s1();
-      // Replays SketchTree::EstimateExpression's boosted pass with the
-      // xi work precompiled: identical additions, identical order.
-      const bool has_topk = streams.topk(0) != nullptr;
-      return BoostedEstimate(s1, streams.s2(), [&](int i, int j) {
-        double x = 0.0;
-        for (uint32_t r : query.plan.residues) {
-          x += streams.array(r).value(i, j);
-        }
-        if (has_topk) {
-          for (uint64_t v : query.plan.values) {
-            auto freq =
-                streams.topk(streams.ResidueOf(v))->TrackedFrequency(v);
-            if (freq.has_value()) x += streams.Xi(i, j, v) * *freq;
-          }
-        }
-        double value = 0.0;
-        for (const CompiledQuery::ExprTermPlan& term : query.terms) {
-          double x_pow = 1.0;
-          for (int e = 0; e < static_cast<int>(term.values.size()); ++e) {
-            x_pow *= x;
-          }
-          value += term.coeff * x_pow / term.m_factorial *
-                   term.xi_prods[static_cast<size_t>(i) * s1 + j];
-        }
-        return value;
-      });
-    }
+    case QueryKind::kExpression:
+      return ExecuteExpression(query.plan, query.terms, streams);
   }
   return Status::Internal("unknown compiled query kind");
 }

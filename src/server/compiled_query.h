@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/estimate_plan.h"
 #include "enumtree/pattern.h"
 #include "query/expression.h"
 #include "query/extended_query.h"
@@ -26,50 +27,6 @@ enum class QueryKind {
 };
 
 const char* QueryKindName(QueryKind kind);
-
-/// Precomputed single-sum estimator plan over a fixed set of distinct
-/// pattern values (Theorem 2's estimator). Everything that depends only
-/// on the query and the synopsis *options* — not on the counters — is
-/// hoisted out of the per-request path:
-///
-///  * `residues`: the distinct virtual streams the values hit, in first-
-///    appearance order (the order CombinedX sums them in);
-///  * `xi_sums[i*s1+j]`: instance (i,j)'s sum of xi over the values.
-///    xi is ±1, so the sums are exact integers — reusing them is
-///    bit-identical to re-evaluating the xi family per request.
-///
-/// A warm estimate then only reads s2*s1*|residues| counters plus the
-/// top-k compensation, skipping the |values| xi evaluations per instance
-/// that dominate a cold estimate of a wide arrangement sum.
-struct SumPlan {
-  std::vector<uint64_t> values;
-  std::vector<uint32_t> residues;
-  std::vector<double> xi_sums;  // s2 * s1, indexed [i * s1 + j].
-};
-
-/// Builds the plan for `values` against the xi families / stream count
-/// of `streams`. The values must be distinct (estimator precondition —
-/// callers validate first, matching SketchTree::EstimateCountOrderedSum).
-SumPlan BuildSumPlan(const VirtualStreams& streams,
-                     std::vector<uint64_t> values);
-
-/// Evaluates the plan against a snapshot's counters. Bit-identical to
-/// VirtualStreams::EstimateSum(plan.values) on the same state: the
-/// per-instance arithmetic performs the same additions in the same
-/// order, with the xi sums replayed from the plan.
-double EstimateSumPlan(const SumPlan& plan, const VirtualStreams& streams);
-
-/// The per-instance combined projection X(i,j) for `values`, row-major
-/// [i * s1 + j] — exactly the `x` EstimateSumPlan computes before
-/// multiplying in the xi sums: counters of the values' distinct
-/// residues summed in first-appearance order, plus the top-k
-/// compensation in value order. Every entry is an exact integer (the
-/// counters are ±1 sums below 2^53), which is what makes the cluster
-/// scatter-gather path bit-exact: a coordinator that sums these
-/// matrices across shards elementwise gets the same doubles as
-/// evaluating the merged synopsis (src/cluster/coordinator.h).
-std::vector<double> ComputeProjectionMatrix(const VirtualStreams& streams,
-                                            const std::vector<uint64_t>& values);
 
 /// A fully compiled query: parsed once, arrangements expanded once,
 /// every pattern fingerprinted once. Immutable after compilation (the
@@ -89,24 +46,14 @@ struct CompiledQuery {
 
   // kOrdered / kUnordered: the sum plan over the pattern's value
   // (ordered) or its deduplicated arrangement values (unordered).
-  // kExpression reuses `plan.values`/`plan.residues` for the combined
-  // projection set of Section 5.3 — every term's values concatenated in
-  // term order, duplicates across terms preserved, exactly as
-  // SketchTree::EstimateExpression builds it (`plan.xi_sums` is unused
-  // there; the per-term xi products below replace it).
+  // kExpression: the expression plan's combined projection set
+  // (ExpressionPlan::projection).
   SumPlan plan;
   /// Number of ordered arrangements an unordered query expanded into
   /// (1 for ordered queries), for introspection and replies.
   size_t num_arrangements = 1;
 
-  // kExpression: per expanded term, the coefficient, its mapped values,
-  // m!, and the precomputed per-instance xi product (±1, exact).
-  struct ExprTermPlan {
-    double coeff = 1.0;
-    std::vector<uint64_t> values;
-    double m_factorial = 1.0;
-    std::vector<double> xi_prods;  // s2 * s1, indexed [i * s1 + j].
-  };
+  // kExpression: the per-term xi data (ExpressionPlan::terms).
   std::vector<ExprTermPlan> terms;
 
   // kExtended: the parsed query plus a memo of the most recent epoch's
@@ -118,10 +65,10 @@ struct CompiledQuery {
   mutable std::shared_ptr<const SumPlan> extended_plan;  // Null => count 0.
 };
 
-/// Thread-compatible pattern-to-value mapper built from synopsis
-/// options: the same Rabin polynomial and label hashing every snapshot
-/// of the stream uses. Mapping maintains scratch buffers and a label
-/// memo, so concurrent compilations serialize on `mu`.
+/// Thread-safe pattern-to-value mapper built from synopsis options: the
+/// same Rabin polynomial and label hashing every snapshot of the stream
+/// uses. Mapping maintains scratch buffers and a label memo, so
+/// concurrent MapQuery calls serialize on an internal mutex.
 class QueryMapper {
  public:
   static Result<QueryMapper> Create(const SketchTreeOptions& options);
@@ -131,11 +78,14 @@ class QueryMapper {
 
   const SketchTreeOptions& options() const { return options_; }
 
-  /// Canonical value of `pattern`; validates the k-edge limit with the
-  /// same error SketchTree::MapQuery produces.
+  /// Canonical value of `pattern`, after ValidateQueryPattern — the
+  /// same check SketchTree::MapQuery runs.
   Result<uint64_t> MapQuery(const LabeledTree& pattern);
 
-  std::mutex& mu() { return *mu_; }
+  /// MapQuery as the estimate planners' mapping function.
+  PatternMapFn MapFn() {
+    return [this](const LabeledTree& pattern) { return MapQuery(pattern); };
+  }
 
  private:
   QueryMapper(const SketchTreeOptions& options,
@@ -181,8 +131,10 @@ Result<std::shared_ptr<CompiledQuery>> CompileQuery(
 
 /// Executes a compiled query against one snapshot. Extended queries may
 /// resolve against the snapshot's summary (memoized per epoch) and so
-/// need the mapper; the other kinds never touch it. Bit-identical to
-/// the corresponding SketchTree::Estimate* call on the same snapshot.
+/// need the mapper; the other kinds never touch it. Runs the same
+/// project-and-finish functions (core/estimate_plan.h) as the
+/// corresponding SketchTree::Estimate* call, so the two agree bit for
+/// bit on the same snapshot.
 Result<double> ExecuteCompiled(const CompiledQuery& query,
                                const SketchSnapshot& snapshot,
                                QueryMapper* mapper);

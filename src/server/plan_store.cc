@@ -98,7 +98,7 @@ void WriteEntry(const std::string& key, const CompiledQuery& plan,
   writer->WriteU64(plan.num_arrangements);
   WriteSumPlan(plan.plan, writer);
   writer->WriteU64(plan.terms.size());
-  for (const CompiledQuery::ExprTermPlan& term : plan.terms) {
+  for (const ExprTermPlan& term : plan.terms) {
     writer->WriteDouble(term.coeff);
     writer->WriteU64(term.values.size());
     for (uint64_t v : term.values) writer->WriteU64(v);
@@ -127,7 +127,7 @@ ReadEntry(BinaryReader* reader) {
   }
   plan->terms.reserve(num_terms);
   for (uint64_t i = 0; i < num_terms; ++i) {
-    CompiledQuery::ExprTermPlan term;
+    ExprTermPlan term;
     SKETCHTREE_ASSIGN_OR_RETURN(term.coeff, reader->ReadDouble());
     SKETCHTREE_ASSIGN_OR_RETURN(uint64_t num_values, reader->ReadU64());
     if (num_values > reader->remaining() / 8) {

@@ -15,8 +15,8 @@ namespace sketchtree {
 
 /// One immutable, epoch-stamped copy of the synopsis. Published once and
 /// never written again, so any number of reader threads may estimate
-/// against it concurrently without synchronization: every estimation
-/// entry point on VirtualStreams is const and touches no scratch state.
+/// against it concurrently without synchronization: the estimator
+/// (core/estimate_plan.h) only reads a const VirtualStreams.
 struct SketchSnapshot {
   uint64_t epoch = 0;
   /// Stream position the snapshot corresponds to, for staleness

@@ -1,45 +1,6 @@
 #include "sketch/estimators.h"
 
-#include <cmath>
-
 namespace sketchtree {
-
-double EstimateSumGeneric(int s1, int s2, const std::vector<uint64_t>& values,
-                          const XiProvider& xi, const XProvider& x) {
-  return BoostedEstimate(s1, s2, [&](int i, int j) {
-    double xi_sum = 0.0;
-    for (uint64_t v : values) xi_sum += xi(i, j, v);
-    return x(i, j) * xi_sum;
-  });
-}
-
-double EstimateProductGeneric(int s1, int s2,
-                              const std::vector<uint64_t>& values,
-                              const XiProvider& xi, const XProvider& x) {
-  const int m = static_cast<int>(values.size());
-  const double m_factorial = Factorial(m);
-  return BoostedEstimate(s1, s2, [&](int i, int j) {
-    double xi_prod = 1.0;
-    for (uint64_t v : values) xi_prod *= xi(i, j, v);
-    return std::pow(x(i, j), m) / m_factorial * xi_prod;
-  });
-}
-
-double EstimateSum(const SketchArray& array,
-                   const std::vector<uint64_t>& values) {
-  return EstimateSumGeneric(
-      array.s1(), array.s2(), values,
-      [&](int i, int j, uint64_t v) { return array.Xi(i, j, v); },
-      [&](int i, int j) { return array.value(i, j); });
-}
-
-double EstimateProduct(const SketchArray& array,
-                       const std::vector<uint64_t>& values) {
-  return EstimateProductGeneric(
-      array.s1(), array.s2(), values,
-      [&](int i, int j, uint64_t v) { return array.Xi(i, j, v); },
-      [&](int i, int j) { return array.value(i, j); });
-}
 
 double Factorial(int m) {
   double out = 1.0;

@@ -1,45 +1,11 @@
 #ifndef SKETCHTREE_SKETCH_ESTIMATORS_H_
 #define SKETCHTREE_SKETCH_ESTIMATORS_H_
 
-#include <cstdint>
-#include <functional>
-#include <vector>
-
-#include "sketch/sketch_array.h"
-
 namespace sketchtree {
 
-/// Per-instance access used by the generic estimators:
-///  * `XProvider(i, j)` returns instance (i, j)'s projection value X —
-///    possibly a sum over several virtual streams plus the top-k
-///    compensation term d (Sections 5.2–5.3);
-///  * `XiProvider(i, j, v)` returns instance (i, j)'s ±1 variable xi_v.
-using XProvider = std::function<double(int i, int j)>;
-using XiProvider = std::function<int(int i, int j, uint64_t v)>;
-
-/// Unbiased estimate of sum_j f_{v_j} for *distinct* values, via the
-/// single estimator X * (xi_{v_1} + ... + xi_{v_t}) of Section 3.2 —
-/// variance at most 2(t-1)·SJ(S), better than estimating each frequency
-/// separately (Theorem 2 discussion).
-double EstimateSumGeneric(int s1, int s2, const std::vector<uint64_t>& values,
-                          const XiProvider& xi, const XProvider& x);
-
-/// Unbiased estimate of prod_j f_{v_j} for *distinct* values, via
-/// X^m / m! * (xi_{v_1} * ... * xi_{v_m}) (Section 4 / Appendix C).
-/// Requires the xi family to be at least 2m-wise independent for
-/// unbiasedness; callers must size `independence` accordingly.
-double EstimateProductGeneric(int s1, int s2,
-                              const std::vector<uint64_t>& values,
-                              const XiProvider& xi, const XProvider& x);
-
-/// Convenience overloads over a single SketchArray (no virtual streams,
-/// no top-k compensation).
-double EstimateSum(const SketchArray& array,
-                   const std::vector<uint64_t>& values);
-double EstimateProduct(const SketchArray& array,
-                       const std::vector<uint64_t>& values);
-
-/// m! as a double (m <= 170 before overflow; expressions use tiny m).
+/// m! as a double (m <= 170 before overflow; expressions use tiny m) —
+/// the X^m / m! normalization of the product estimator (Section 4).
+/// The estimators themselves live in core/estimate_plan.h.
 double Factorial(int m);
 
 }  // namespace sketchtree

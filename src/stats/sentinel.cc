@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "core/estimate_plan.h"
 #include "metrics/metrics.h"
 #include "stats/error_stats.h"
 
@@ -64,7 +65,8 @@ SentinelReport AccuracySentinel::Report(const SketchTree& sketch) const {
     SentinelSample sample;
     sample.value = value;
     sample.exact = exact;
-    sample.estimate = sketch.streams().EstimatePoint(value);
+    sample.estimate =
+        ExecuteSum(BuildSumPlan(sketch.streams(), {value}), sketch.streams());
     if (exact > 0.0) {
       sample.relative_error =
           SanityBoundedRelativeError(sample.estimate, exact);

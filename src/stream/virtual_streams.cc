@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "metrics/metrics.h"
-#include "sketch/estimators.h"
 #include "trace/trace.h"
 
 namespace sketchtree {
@@ -138,54 +137,6 @@ void VirtualStreams::InsertBatch(std::span<const uint64_t> values,
   }
   batch_touched_.clear();
   AccountStreamLength(values.size(), weight);
-}
-
-double VirtualStreams::CombinedX(int i, int j,
-                                 const std::vector<uint64_t>& values) const {
-  // Sum the sketches of the distinct streams hit by the query values
-  // (X_{a union b} = X_a + X_b under shared seeds) ...
-  double x = 0.0;
-  // Queries touch a handful of values; a linear-scanned scratch list is
-  // cheaper than a hash set.
-  std::vector<uint32_t> seen;
-  seen.reserve(values.size());
-  for (uint64_t v : values) {
-    uint32_t r = ResidueOf(v);
-    if (std::find(seen.begin(), seen.end(), r) != seen.end()) continue;
-    seen.push_back(r);
-    x += arrays_[r].value(i, j);
-  }
-  // ... then compensate for tracked query values whose instances were
-  // deleted from the sketches: d = sum xi_v * f_v (Section 5.2).
-  if (!trackers_.empty()) {
-    for (uint64_t v : values) {
-      auto freq = trackers_[ResidueOf(v)].TrackedFrequency(v);
-      if (freq.has_value()) {
-        x += Xi(i, j, v) * *freq;
-      }
-    }
-  }
-  return x;
-}
-
-double VirtualStreams::EstimatePoint(uint64_t v) const {
-  return EstimateSum({v});
-}
-
-double VirtualStreams::EstimateSum(
-    const std::vector<uint64_t>& values) const {
-  return EstimateSumGeneric(
-      options_.s1, options_.s2, values,
-      [&](int i, int j, uint64_t v) { return Xi(i, j, v); },
-      [&](int i, int j) { return CombinedX(i, j, values); });
-}
-
-double VirtualStreams::EstimateProduct(
-    const std::vector<uint64_t>& values) const {
-  return EstimateProductGeneric(
-      options_.s1, options_.s2, values,
-      [&](int i, int j, uint64_t v) { return Xi(i, j, v); },
-      [&](int i, int j) { return CombinedX(i, j, values); });
 }
 
 double VirtualStreams::EstimateSelfJoinSize() const {

@@ -38,7 +38,8 @@ struct VirtualStreamsOptions {
 /// optionally, one top-k tracker — per stream. All arrays share the same
 /// base seed, so instance (i, j) has identical xi variables in every
 /// stream and X_{i union j} is simply the elementwise sum of sketches:
-/// the property estimators rely on when a query touches several streams.
+/// the property the estimator (core/estimate_plan.h) relies on when a
+/// query touches several streams.
 class VirtualStreams {
  public:
   static Result<VirtualStreams> Create(const VirtualStreamsOptions& options);
@@ -70,21 +71,6 @@ class VirtualStreams {
 
   /// xi_v for instance (i, j) — identical in every stream by seed sharing.
   int Xi(int i, int j, uint64_t v) const { return arrays_[0].Xi(i, j, v); }
-
-  /// Instance (i, j)'s combined projection for a query over `values`:
-  /// the sum of X over the distinct virtual streams the values land in,
-  /// plus the top-k compensation  d = sum over tracked query values of
-  /// xi_v * f_v  (Section 5.2's modified Algorithm 2).
-  double CombinedX(int i, int j, const std::vector<uint64_t>& values) const;
-
-  /// Point estimate of f_v (Algorithm 2 + compensation).
-  double EstimatePoint(uint64_t v) const;
-
-  /// Estimate of sum_j f_{v_j}; `values` must be distinct.
-  double EstimateSum(const std::vector<uint64_t>& values) const;
-
-  /// Estimate of prod_j f_{v_j}; `values` must be distinct.
-  double EstimateProduct(const std::vector<uint64_t>& values) const;
 
   /// Estimate of the *residual* self-join size SJ(S) = sum_i f_i^2 of
   /// the sketched stream (after top-k deletions), via the AMS second

@@ -9,6 +9,7 @@
 
 #include "common/atomic_file.h"
 #include "faultinject/fault_injector.h"
+#include "temp_path.h"
 
 namespace sketchtree {
 namespace {
@@ -39,10 +40,7 @@ void ExpectEqualCheckpoints(const StreamCheckpoint& a,
 class CheckpointerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) /
-           ("ckpt_" + std::string(::testing::UnitTest::GetInstance()
-                                      ->current_test_info()
-                                      ->name()));
+    dir_ = TestTempPath("ckpt_");
     fs::remove_all(dir_);
   }
   void TearDown() override {

@@ -27,15 +27,14 @@
 namespace sketchtree {
 namespace {
 
-/// Small synopsis, top-k disabled: the scatter/merged bit-exactness
-/// contract requires identical options and no top-k tracking.
-SketchTreeOptions ClusterOptions() {
+/// Small synopsis; top-k disabled unless a test asks for it.
+SketchTreeOptions ClusterOptions(size_t topk_size = 0) {
   SketchTreeOptions options;
   options.max_pattern_edges = 3;
   options.s1 = 8;
   options.s2 = 3;
   options.num_virtual_streams = 31;
-  options.topk_size = 0;
+  options.topk_size = topk_size;
   options.seed = 17;
   options.build_structural_summary = true;
   return options;
@@ -43,8 +42,8 @@ SketchTreeOptions ClusterOptions() {
 
 /// Deterministic per-shard stream slices (disjoint workloads so a
 /// missing shard visibly changes the counts).
-SketchTree BuildShardSketch(int shard) {
-  SketchTree sketch = *SketchTree::Create(ClusterOptions());
+SketchTree BuildShardSketch(int shard, size_t topk_size = 0) {
+  SketchTree sketch = *SketchTree::Create(ClusterOptions(topk_size));
   switch (shard) {
     case 0:
       for (int i = 0; i < 5; ++i) sketch.Update(*ParseSExpr("A(B,C)"));
@@ -71,10 +70,10 @@ struct Worker {
   int port = 0;
 };
 
-Worker StartWorker(int shard, int port = 0) {
+Worker StartWorker(int shard, int port = 0, size_t topk_size = 0) {
   Worker worker;
   Result<QueryService> service =
-      QueryService::CreateStatic(BuildShardSketch(shard));
+      QueryService::CreateStatic(BuildShardSketch(shard, topk_size));
   EXPECT_TRUE(service.ok()) << service.status().ToString();
   worker.service =
       std::make_unique<QueryService>(std::move(service).value());
@@ -108,10 +107,11 @@ CoordinatorOptions TestCoordinatorOptions(const std::vector<Worker>& workers) {
 
 /// Reference answers: the shard sketches merged locally — exactly what
 /// a single-node synopsis over the whole stream would hold.
-Result<QueryService> MergedReference(const std::vector<int>& shards) {
-  SketchTree merged = BuildShardSketch(shards[0]);
+Result<QueryService> MergedReference(const std::vector<int>& shards,
+                                     size_t topk_size = 0) {
+  SketchTree merged = BuildShardSketch(shards[0], topk_size);
   for (size_t i = 1; i < shards.size(); ++i) {
-    SketchTree shard = BuildShardSketch(shards[i]);
+    SketchTree shard = BuildShardSketch(shards[i], topk_size);
     Status status = merged.Merge(shard);
     if (!status.ok()) return status;
   }
@@ -181,6 +181,35 @@ TEST(ClusterTest, ScatterMatchesMergedBitExact) {
     // scale — the proof is exact; everything estimated carries the
     // Theorem-1 scale.
     if (expected != 0.0) EXPECT_GT(scatter->error_scale, 0.0);
+  }
+}
+
+// With top-k on, each shard compensates only the values it tracks,
+// while the merged synopsis re-adds every other shard's tracked mass
+// into its counters, so summed shard projections are not the merged
+// synopsis's projection. Scatter refuses such synopses with a typed
+// error; merge-at-publish still answers, bit-exact with a local merge.
+TEST(ClusterTest, ScatterRefusesTopKSynopses) {
+  constexpr size_t kTopK = 4;
+  std::vector<Worker> workers;
+  for (int i = 0; i < 3; ++i) workers.push_back(StartWorker(i, 0, kTopK));
+  Result<std::unique_ptr<Coordinator>> coordinator =
+      Coordinator::Start(TestCoordinatorOptions(workers));
+  ASSERT_TRUE(coordinator.ok()) << coordinator.status().ToString();
+
+  Result<QueryService> reference = MergedReference({0, 1, 2}, kTopK);
+  ASSERT_TRUE(reference.ok());
+
+  for (const QueryCase& q : kQueryMatrix) {
+    Result<QueryAnswer> scatter =
+        (*coordinator)->Execute(q.kind, q.text, std::nullopt, "scatter");
+    ASSERT_FALSE(scatter.ok()) << q.text;
+    EXPECT_TRUE(scatter.status().IsUnimplemented())
+        << q.text << ": " << scatter.status().ToString();
+    Result<QueryAnswer> merged =
+        (*coordinator)->Execute(q.kind, q.text, std::nullopt, "merged");
+    ASSERT_TRUE(merged.ok()) << q.text << ": " << merged.status().ToString();
+    EXPECT_EQ(merged->estimate, Estimate(*reference, q)) << q.text;
   }
 }
 

@@ -4,8 +4,19 @@
 
 #include <cmath>
 
+#include "reference_estimator.h"
+
 namespace sketchtree {
 namespace {
+
+// The sum/product estimator formulas, checked on the test-only
+// reference implementation (the production estimator is checked
+// against it bit for bit in virtual_streams_test and
+// query_service_test).
+using reference::EstimateProduct;
+using reference::EstimateProductGeneric;
+using reference::EstimateSum;
+using reference::EstimateSumGeneric;
 
 TEST(FactorialTest, SmallValues) {
   EXPECT_DOUBLE_EQ(Factorial(0), 1.0);

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "common/atomic_file.h"
+#include "temp_path.h"
 
 namespace sketchtree {
 namespace {
@@ -113,7 +114,7 @@ TEST(FaultInjectorTest, SpecRejectsUnknownSiteAndBadSyntax) {
 class AtomicFileFaultTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/atomic_fault_test.bin";
+    path_ = TestTempPath("atomic_fault_", ".bin");
     std::remove(path_.c_str());
     std::remove((path_ + ".tmp").c_str());
   }

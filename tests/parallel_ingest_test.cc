@@ -17,6 +17,7 @@
 #include "datagen/treebank_gen.h"
 #include "ingest/parallel_ingester.h"
 #include "ingest/tree_queue.h"
+#include "reference_estimator.h"
 #include "sketch/sketch_array.h"
 #include "stream/virtual_streams.h"
 
@@ -98,7 +99,8 @@ TEST(InsertBatchTest, MatchesInsertBitExact) {
 
   EXPECT_EQ(serial.values_inserted(), batched.values_inserted());
   for (uint64_t q : TestValues(50)) {
-    EXPECT_EQ(serial.EstimatePoint(q), batched.EstimatePoint(q));
+    EXPECT_EQ(reference::EstimatePoint(serial, q),
+              reference::EstimatePoint(batched, q));
   }
   EXPECT_EQ(serial.EstimateSelfJoinSize(), batched.EstimateSelfJoinSize());
 }
@@ -123,7 +125,8 @@ TEST(InsertBatchTest, TopkFallbackMatchesInsert) {
   batched.InsertBatch(values);
 
   for (uint64_t q : values) {
-    EXPECT_EQ(serial.EstimatePoint(q), batched.EstimatePoint(q));
+    EXPECT_EQ(reference::EstimatePoint(serial, q),
+              reference::EstimatePoint(batched, q));
   }
 }
 

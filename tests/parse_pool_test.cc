@@ -24,6 +24,7 @@
 #include "datagen/treebank_gen.h"
 #include "ingest/parallel_ingester.h"
 #include "ingest/tree_queue.h"
+#include "temp_path.h"
 #include "tree/labeled_tree.h"
 #include "xml/xml_tree_reader.h"
 
@@ -199,7 +200,7 @@ std::string WriteForestFile(const std::string& name,
     AppendTreeXml(tree, tree.root(), &xml);
   }
   xml += "</forest>";
-  std::string path = ::testing::TempDir() + name;
+  std::string path = TempPath(name);
   FILE* file = std::fopen(path.c_str(), "w");
   EXPECT_NE(file, nullptr);
   if (file != nullptr) {
@@ -274,7 +275,7 @@ TEST(ParsePoolTest, MultiFileConcatenatesInPathOrder) {
 TEST(ParsePoolTest, QuarantinesMalformedTreesWhenNotFailFast) {
   // <a></b> passes the structural split (balanced depth) but fails the
   // per-tree SAX parse — exactly the shape quarantine exists for.
-  std::string path = ::testing::TempDir() + "pool_quarantine.xml";
+  std::string path = TempPath("pool_quarantine.xml");
   FILE* file = std::fopen(path.c_str(), "w");
   ASSERT_NE(file, nullptr);
   std::fputs("<f><a><b/></a><a></b><c/></f>", file);
@@ -302,7 +303,7 @@ TEST(ParsePoolTest, QuarantinesMalformedTreesWhenNotFailFast) {
 }
 
 TEST(ParsePoolTest, FailFastReportsOffendingTree) {
-  std::string path = ::testing::TempDir() + "pool_failfast.xml";
+  std::string path = TempPath("pool_failfast.xml");
   FILE* file = std::fopen(path.c_str(), "w");
   ASSERT_NE(file, nullptr);
   std::fputs("<f><ok/><a></b></f>", file);
@@ -336,7 +337,7 @@ TEST(ParsePoolTest, PropagatesDocumentLevelErrors) {
   EXPECT_FALSE(missing.ok());
   (void)missing_ingester.Finish();
 
-  std::string path = ::testing::TempDir() + "pool_truncated.xml";
+  std::string path = TempPath("pool_truncated.xml");
   FILE* file = std::fopen(path.c_str(), "w");
   ASSERT_NE(file, nullptr);
   std::fputs("<f><a>", file);

@@ -9,6 +9,7 @@
 #include "metrics/metrics.h"
 #include "query/pattern_query.h"
 #include "query/unordered.h"
+#include "reference_estimator.h"
 #include "server/snapshot.h"
 #include "tree/tree_serialization.h"
 
@@ -57,6 +58,9 @@ TEST(QueryServiceTest, OrderedMatchesSketchTreeBitExact) {
     Result<QueryAnswer> answer = Ask(*service, QueryKind::kOrdered, text);
     ASSERT_TRUE(answer.ok()) << answer.status().ToString();
     EXPECT_EQ(answer->estimate, *expected) << text;  // Bit-exact.
+    EXPECT_EQ(answer->estimate,
+              reference::EstimatePatternSum(direct, {*ParseSExpr(text)}))
+        << text;
     EXPECT_EQ(answer->num_arrangements, 1u);
   }
 }
@@ -73,6 +77,10 @@ TEST(QueryServiceTest, UnorderedMatchesSketchTreeBitExact) {
     Result<QueryAnswer> answer = Ask(*service, QueryKind::kUnordered, text);
     ASSERT_TRUE(answer.ok()) << answer.status().ToString();
     EXPECT_EQ(answer->estimate, *expected) << text;  // Bit-exact.
+    EXPECT_EQ(answer->estimate,
+              reference::EstimatePatternSum(
+                  direct, *OrderedArrangements(*ParseSExpr(text))))
+        << text;
   }
   // A(B,B): the two orderings coincide, so only one arrangement.
   Result<QueryAnswer> degenerate =
@@ -94,6 +102,14 @@ TEST(QueryServiceTest, ExtendedMatchesSketchTreeBitExact) {
     Result<QueryAnswer> answer = Ask(*service, QueryKind::kExtended, text);
     ASSERT_TRUE(answer.ok()) << answer.status().ToString();
     EXPECT_EQ(answer->estimate, *expected) << text;  // Bit-exact.
+    std::vector<LabeledTree> resolved = *ResolveExtendedQuery(
+        *ExtendedQuery::Parse(text), *direct.summary(),
+        direct.options().max_pattern_edges);
+    EXPECT_EQ(answer->estimate,
+              resolved.empty()
+                  ? 0.0
+                  : reference::EstimatePatternSum(direct, resolved))
+        << text;
     // Second ask hits the plan cache AND the per-epoch resolution memo;
     // still bit-exact.
     Result<QueryAnswer> again = Ask(*service, QueryKind::kExtended, text);
@@ -119,11 +135,79 @@ TEST(QueryServiceTest, ExpressionMatchesSketchTreeBitExact) {
         Ask(*service, QueryKind::kExpression, text);
     ASSERT_TRUE(answer.ok()) << answer.status().ToString();
     EXPECT_EQ(answer->estimate, *expected) << text;  // Bit-exact.
+    EXPECT_EQ(answer->estimate, reference::EstimateExpression(direct, text))
+        << text;
     Result<QueryAnswer> warm = Ask(*service, QueryKind::kExpression, text);
     ASSERT_TRUE(warm.ok());
     EXPECT_TRUE(warm->cache_hit);
     EXPECT_EQ(warm->estimate, *expected) << text;
   }
+}
+
+// The oracle cases that exercise both halves of the projection: a sum
+// over several virtual streams, and an expression whose terms hit
+// tracked (top-k) values, so the compensation term is live.
+TEST(QueryServiceTest, MatchesReferenceEstimatorWithTrackedValues) {
+  SketchTree direct = BuildSketch();
+  Result<QueryService> service =
+      QueryService::CreateStatic(BuildSketch());
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  const VirtualStreams& streams = direct.streams();
+  auto tracked = [&](const char* text) {
+    uint64_t v = direct.MapPattern(*ParseSExpr(text));
+    return streams.topk(streams.ResidueOf(v))->TrackedFrequency(v)
+        .has_value();
+  };
+
+  // COUNT(R(S(T),U)): two arrangements landing in distinct streams.
+  std::vector<LabeledTree> arrangements =
+      *OrderedArrangements(*ParseSExpr("R(S(T),U)"));
+  ASSERT_EQ(arrangements.size(), 2u);
+  ASSERT_NE(streams.ResidueOf(direct.MapPattern(arrangements[0])),
+            streams.ResidueOf(direct.MapPattern(arrangements[1])));
+  Result<QueryAnswer> sum =
+      Ask(*service, QueryKind::kUnordered, "R(S(T),U)");
+  ASSERT_TRUE(sum.ok()) << sum.status().ToString();
+  EXPECT_EQ(sum->estimate,
+            reference::EstimatePatternSum(direct, arrangements));
+
+  const char* expression =
+      "COUNT_ORD(A(B,C)) * COUNT_ORD(R(S)) - COUNT_ORD(A(B))";
+  ASSERT_TRUE(tracked("A(B,C)"));
+  ASSERT_TRUE(tracked("A(B)"));
+  Result<QueryAnswer> answer =
+      Ask(*service, QueryKind::kExpression, expression);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_EQ(answer->estimate,
+            reference::EstimateExpression(direct, expression));
+}
+
+// A pattern repeated across expression terms is compensated once: its
+// occurrences were deleted from the sketch once, into one tracked count.
+TEST(QueryServiceTest, RepeatedPatternIsCompensatedOnce) {
+  SketchTreeOptions options;
+  options.topk_size = 8;
+  SketchTree direct = *SketchTree::Create(options);
+  for (int i = 0; i < 300; ++i) direct.Update(*ParseSExpr("a(b,c)"));
+  for (int i = 0; i < 50; ++i) direct.Update(*ParseSExpr("x(y)"));
+  Result<QueryService> service = QueryService::CreateStatic(
+      *SketchTree::DeserializeFromString(direct.SerializeToString()));
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+
+  const uint64_t v = direct.MapPattern(*ParseSExpr("a(b)"));
+  ASSERT_TRUE(direct.streams()
+                  .topk(direct.streams().ResidueOf(v))
+                  ->TrackedFrequency(v)
+                  .has_value());
+  Result<double> single = direct.EstimateCountOrdered(*ParseSExpr("a(b)"));
+  ASSERT_TRUE(single.ok());
+  const char* twice = "COUNT_ORD(a(b)) + COUNT_ORD(a(b))";
+  Result<double> doubled = direct.EstimateExpression(twice);
+  ASSERT_TRUE(doubled.ok()) << doubled.status().ToString();
+  EXPECT_EQ(*doubled, 2 * *single);
+  Result<QueryAnswer> answer = Ask(*service, QueryKind::kExpression, twice);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_EQ(answer->estimate, *doubled);
 }
 
 TEST(QueryServiceTest, ErrorsMatchSketchTreeMessages) {

@@ -17,6 +17,7 @@
 #include "ingest/quarantine.h"
 #include "tree/tree_serialization.h"
 #include "xml/xml_tree_reader.h"
+#include "temp_path.h"
 
 namespace sketchtree {
 namespace {
@@ -62,10 +63,7 @@ SketchTreeOptions RecoveryOptions() {
 class RecoveryTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) /
-           ("recovery_" + std::string(::testing::UnitTest::GetInstance()
-                                          ->current_test_info()
-                                          ->name()));
+    dir_ = TestTempPath("recovery_");
     fs::remove_all(dir_);
   }
   void TearDown() override {

@@ -9,6 +9,7 @@
 #include "datagen/treebank_gen.h"
 #include "faultinject/fault_injector.h"
 #include "query/pattern_query.h"
+#include "temp_path.h"
 #include "tree/tree_serialization.h"
 
 namespace sketchtree {
@@ -129,7 +130,7 @@ TEST(SerializationTest, RejectsGarbage) {
 
 TEST(SerializationTest, FileRoundTrip) {
   SketchTree original = BuildPopulatedSketch();
-  std::string path = ::testing::TempDir() + "/sketchtree_synopsis_test.bin";
+  std::string path = TempPath("sketchtree_synopsis_test.bin");
   ASSERT_TRUE(original.SaveToFile(path).ok());
   Result<SketchTree> restored = SketchTree::LoadFromFile(path);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
@@ -198,7 +199,7 @@ TEST(SerializationTest, BitFlipAtEveryByteIsRejected) {
 }
 
 TEST(SerializationTest, TruncatedFileOnDiskIsCorruption) {
-  std::string path = ::testing::TempDir() + "/sketchtree_truncated_test.bin";
+  std::string path = TempPath("sketchtree_truncated_test.bin");
   SketchTree sketch = *SketchTree::Create(TinyOptions());
   ASSERT_TRUE(sketch.SaveToFile(path).ok());
   Result<std::string> full = ReadFileToString(path);
@@ -214,7 +215,7 @@ TEST(SerializationTest, TruncatedFileOnDiskIsCorruption) {
 }
 
 TEST(SerializationTest, SaveToFileIsAtomicUnderTornRename) {
-  std::string path = ::testing::TempDir() + "/sketchtree_atomic_test.bin";
+  std::string path = TempPath("sketchtree_atomic_test.bin");
   SketchTree original = BuildPopulatedSketch();
   ASSERT_TRUE(original.SaveToFile(path).ok());
 

@@ -18,6 +18,7 @@
 #include "store/mmap_file.h"
 #include "store/page_format.h"
 #include "tree/tree_serialization.h"
+#include "temp_path.h"
 
 namespace sketchtree {
 namespace {
@@ -70,10 +71,7 @@ std::vector<double> Probe(SketchTree& sketch) {
 class StoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) /
-           ("store_" + std::string(::testing::UnitTest::GetInstance()
-                                       ->current_test_info()
-                                       ->name()));
+    dir_ = TestTempPath("store_");
     fs::remove_all(dir_);
   }
   void TearDown() override {

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <string>
+
+#include "core/estimate_plan.h"
+#include "reference_estimator.h"
 
 namespace sketchtree {
 namespace {
@@ -75,10 +80,10 @@ TEST(VirtualStreamsTest, PointEstimatesAcrossStreams) {
   for (int i = 0; i < 25; ++i) streams.Insert(15);  // Residue 1.
   for (int i = 0; i < 9; ++i) streams.Insert(16);   // Residue 2.
   EXPECT_EQ(streams.values_inserted(), 94u);
-  EXPECT_NEAR(streams.EstimatePoint(14), 60.0, 10.0);
-  EXPECT_NEAR(streams.EstimatePoint(15), 25.0, 10.0);
-  EXPECT_NEAR(streams.EstimatePoint(16), 9.0, 10.0);
-  EXPECT_NEAR(streams.EstimatePoint(999999), 0.0, 10.0);
+  EXPECT_NEAR(reference::EstimatePoint(streams, 14), 60.0, 10.0);
+  EXPECT_NEAR(reference::EstimatePoint(streams, 15), 25.0, 10.0);
+  EXPECT_NEAR(reference::EstimatePoint(streams, 16), 9.0, 10.0);
+  EXPECT_NEAR(reference::EstimatePoint(streams, 999999), 0.0, 10.0);
 }
 
 TEST(VirtualStreamsTest, PartitioningIsolatesHeavyValues) {
@@ -90,14 +95,14 @@ TEST(VirtualStreamsTest, PartitioningIsolatesHeavyValues) {
   VirtualStreams streams = *VirtualStreams::Create(options);
   for (int i = 0; i < 100000; ++i) streams.Insert(7);  // Residue 0.
   for (int i = 0; i < 10; ++i) streams.Insert(8);      // Residue 1.
-  EXPECT_DOUBLE_EQ(streams.EstimatePoint(8), 10.0);
+  EXPECT_DOUBLE_EQ(reference::EstimatePoint(streams, 8), 10.0);
 }
 
 TEST(VirtualStreamsTest, SumEstimateSpansStreams) {
   VirtualStreams streams = *VirtualStreams::Create(SmallOptions());
   for (int i = 0; i < 40; ++i) streams.Insert(14);
   for (int i = 0; i < 22; ++i) streams.Insert(15);
-  EXPECT_NEAR(streams.EstimateSum({14, 15}), 62.0, 12.0);
+  EXPECT_NEAR(reference::EstimateSum(streams, {14, 15}), 62.0, 12.0);
 }
 
 TEST(VirtualStreamsTest, SumWithinOneStreamDoesNotDoubleCount) {
@@ -105,7 +110,7 @@ TEST(VirtualStreamsTest, SumWithinOneStreamDoesNotDoubleCount) {
   // 14 and 21 share residue 0: the combined X must count stream 0 once.
   for (int i = 0; i < 40; ++i) streams.Insert(14);
   for (int i = 0; i < 20; ++i) streams.Insert(21);
-  EXPECT_NEAR(streams.EstimateSum({14, 21}), 60.0, 12.0);
+  EXPECT_NEAR(reference::EstimateSum(streams, {14, 21}), 60.0, 12.0);
 }
 
 TEST(VirtualStreamsTest, ProductEstimateAcrossStreams) {
@@ -114,7 +119,7 @@ TEST(VirtualStreamsTest, ProductEstimateAcrossStreams) {
   VirtualStreams streams = *VirtualStreams::Create(options);
   for (int i = 0; i < 30; ++i) streams.Insert(14);
   for (int i = 0; i < 11; ++i) streams.Insert(15);
-  EXPECT_NEAR(streams.EstimateProduct({14, 15}), 330.0, 180.0);
+  EXPECT_NEAR(reference::EstimateProduct(streams, {14, 15}), 330.0, 180.0);
 }
 
 TEST(VirtualStreamsTest, TopKCompensationKeepsPointEstimatesExactish) {
@@ -127,8 +132,8 @@ TEST(VirtualStreamsTest, TopKCompensationKeepsPointEstimatesExactish) {
   const TopKTracker* tracker = streams.topk(streams.ResidueOf(14));
   ASSERT_NE(tracker, nullptr);
   EXPECT_TRUE(tracker->TrackedFrequency(14).has_value());
-  EXPECT_NEAR(streams.EstimatePoint(14), 500.0, 25.0);
-  EXPECT_NEAR(streams.EstimatePoint(15), 30.0, 25.0);
+  EXPECT_NEAR(reference::EstimatePoint(streams, 14), 500.0, 25.0);
+  EXPECT_NEAR(reference::EstimatePoint(streams, 15), 30.0, 25.0);
 }
 
 TEST(VirtualStreamsTest, TopKDisabledByDefault) {
@@ -174,7 +179,7 @@ TEST(VirtualStreamsTest, OverDeletionIsObservableNotClamped) {
   EXPECT_EQ(streams.over_deletions(), 3u);
   // The sketches themselves absorbed the deletions (net -3 for value 7),
   // so point estimates go negative rather than corrupting.
-  EXPECT_LT(streams.EstimatePoint(7), 0.0);
+  EXPECT_LT(reference::EstimatePoint(streams, 7), 0.0);
 
   // Over-deletion counts fold across MergeFrom.
   VirtualStreams other = *VirtualStreams::Create(SmallOptions());
@@ -211,8 +216,50 @@ TEST(VirtualStreamsTest, DeterministicAcrossInstances) {
     b.Insert(v % 13);
   }
   for (uint64_t v = 0; v < 13; ++v) {
-    EXPECT_DOUBLE_EQ(a.EstimatePoint(v), b.EstimatePoint(v));
+    EXPECT_DOUBLE_EQ(reference::EstimatePoint(a, v),
+                     reference::EstimatePoint(b, v));
   }
+}
+
+// The production estimator (core/estimate_plan.h) against the naive
+// reference, bit for bit, with top-k on and tracked values in the query.
+TEST(VirtualStreamsTest, EstimatorMatchesReferenceBitExactWithTopK) {
+  VirtualStreamsOptions options = SmallOptions();
+  options.s1 = 20;
+  options.topk_capacity = 2;
+  VirtualStreams streams = *VirtualStreams::Create(options);
+  for (int i = 0; i < 300; ++i) streams.Insert(14);  // Residue 0, tracked.
+  for (int i = 0; i < 120; ++i) streams.Insert(22);  // Residue 1, tracked.
+  for (int i = 0; i < 40; ++i) streams.Insert(21);   // Residue 0.
+  for (uint64_t v = 100; v < 160; ++v) streams.Insert(v);
+  ASSERT_TRUE(streams.topk(0)->TrackedFrequency(14).has_value());
+  ASSERT_TRUE(streams.topk(1)->TrackedFrequency(22).has_value());
+
+  for (const std::vector<uint64_t>& values :
+       std::vector<std::vector<uint64_t>>{
+           {14}, {15}, {14, 22}, {22, 14, 21, 101}, {21, 999999}}) {
+    EXPECT_EQ(ExecuteSum(BuildSumPlan(streams, values), streams),
+              reference::EstimateSum(streams, values));
+  }
+
+  // P repeats across terms: the compensation counts each distinct
+  // tracked value once.
+  const std::map<std::string, uint64_t> kValues = {
+      {"P", 14}, {"Q", 22}, {"R", 21}};
+  Result<ExpressionPlan> plan = PlanExpression(
+      streams,
+      *CountExpression::Parse(
+          "COUNT_ORD(P) * COUNT_ORD(Q) - COUNT_ORD(R) + COUNT_ORD(P)"),
+      [&](const LabeledTree& pattern) -> Result<uint64_t> {
+        return kValues.at(pattern.label(pattern.root()));
+      });
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  std::vector<reference::Term> terms;
+  for (const ExprTermPlan& term : plan->terms) {
+    terms.push_back({term.coeff, term.values});
+  }
+  EXPECT_EQ(ExecuteExpression(plan->projection, plan->terms, streams),
+            reference::EstimateExpression(streams, terms));
 }
 
 }  // namespace

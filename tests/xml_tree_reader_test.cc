@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "tree/tree_serialization.h"
+#include "temp_path.h"
 
 namespace sketchtree {
 namespace {
@@ -99,7 +100,7 @@ TEST(XmlTreeReaderTest, ParseErrorsPropagate) {
 }
 
 TEST(XmlTreeReaderTest, ReadsForestFromFile) {
-  std::string path = ::testing::TempDir() + "/sketchtree_forest_test.xml";
+  std::string path = TempPath("sketchtree_forest_test.xml");
   {
     std::ofstream out(path);
     out << "<stream><t1><x/></t1><t2><y>v</y></t2></stream>";
@@ -159,7 +160,7 @@ TEST(XmlForestStreamingTest, MalformedXmlReported) {
 }
 
 TEST(XmlForestStreamingTest, FileVariant) {
-  std::string path = ::testing::TempDir() + "/sketchtree_stream_test.xml";
+  std::string path = TempPath("sketchtree_stream_test.xml");
   {
     std::ofstream out(path);
     out << "<s><x><y>v</y></x></s>";
