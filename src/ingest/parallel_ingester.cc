@@ -38,7 +38,6 @@ struct ParallelIngester::State {
   bool inline_mode = false;
   size_t worker_batch = 32;
   bool finished = false;
-  bool resumed = false;
 };
 
 Result<ParallelIngester> ParallelIngester::Create(
@@ -198,46 +197,14 @@ Status ParallelIngester::IngestAll(const TreeSource& source,
   }
 }
 
-Status ParallelIngester::ResumeFrom(
-    const std::vector<std::string>& shard_sketches) {
-  if (state_->finished) {
-    return Status::InvalidArgument("ResumeFrom after Finish");
-  }
-  if (state_->resumed) {
-    return Status::InvalidArgument("ResumeFrom called twice");
-  }
-  if (state_->trees_enqueued.load(std::memory_order_relaxed) != 0) {
-    return Status::InvalidArgument(
-        "ResumeFrom must precede the first Add");
-  }
-  state_->resumed = true;
-  // The workers exist but are blocked in Pop (nothing has been
-  // enqueued), so mutating the shard replicas here is race-free; the
-  // queue's mutex orders these writes before any tree they later
-  // ingest. Merging into the fresh empty replica (rather than replacing
-  // it) routes through Merge's option-compatibility validation and is
-  // exact: the empty replica contributes zero to every counter.
-  const bool aligned = shard_sketches.size() == state_->shards.size();
-  for (size_t i = 0; i < shard_sketches.size(); ++i) {
-    SKETCHTREE_ASSIGN_OR_RETURN(
-        SketchTree restored,
-        SketchTree::DeserializeFromString(shard_sketches[i]));
-    Shard& target = aligned ? *state_->shards[i] : *state_->shards[0];
-    SKETCHTREE_RETURN_NOT_OK(target.sketch.Merge(restored));
-  }
-  GlobalMetrics().GetCounter("ingest.shards_resumed")
-      ->Increment(shard_sketches.size());
-  return Status::OK();
-}
-
-Result<std::vector<std::string>> ParallelIngester::SnapshotShards() {
+Result<SketchTree> ParallelIngester::SnapshotShards() {
   if (state_->finished) {
     return Status::InvalidArgument("SnapshotShards after Finish");
   }
   // Consistent cut: with the producer paused (our caller), wait until
   // the workers have applied every enqueued tree. The acquire loads
   // pair with the workers' release increments, making each shard's last
-  // Update visible before we serialize it; afterwards the workers sit
+  // Update visible before we copy it; afterwards the workers sit
   // blocked in Pop and do not touch their sketches.
   const uint64_t enqueued =
       state_->trees_enqueued.load(std::memory_order_relaxed);
@@ -249,12 +216,14 @@ Result<std::vector<std::string>> ParallelIngester::SnapshotShards() {
     }
     if (applied < enqueued) std::this_thread::yield();
   } while (applied < enqueued);
-  std::vector<std::string> snapshots;
-  snapshots.reserve(state_->shards.size());
-  for (const auto& shard : state_->shards) {
-    snapshots.push_back(shard->sketch.SerializeToString());
+  SKETCHTREE_ASSIGN_OR_RETURN(
+      SketchTree merged,
+      SketchTree::DeserializeFromString(
+          state_->shards[0]->sketch.SerializeToString()));
+  for (size_t t = 1; t < state_->shards.size(); ++t) {
+    SKETCHTREE_RETURN_NOT_OK(merged.Merge(state_->shards[t]->sketch));
   }
-  return snapshots;
+  return merged;
 }
 
 Result<SketchTree> ParallelIngester::Finish() {

@@ -113,21 +113,13 @@ class ParallelIngester {
   Status IngestAll(const TreeSource& source,
                    const ReaderRetryPolicy& retry = {});
 
-  /// Restores the shard replicas from the serialized sketches of a
-  /// checkpoint. Must be called before any tree is Added. When the
-  /// checkpoint's shard count matches num_threads() each replica is
-  /// restored in place; otherwise every checkpointed shard is folded
-  /// into shard 0 — exact either way by sketch linearity. Option
-  /// compatibility between the checkpoint and this ingester is
-  /// validated (via SketchTree::Merge) per shard.
-  Status ResumeFrom(const std::vector<std::string>& shard_sketches);
-
   /// Drains the pipeline to a consistent cut — blocks until the workers
-  /// have applied every tree Added so far — and returns each shard
-  /// replica serialized, in shard order. The caller (producer thread)
-  /// must not Add concurrently; that is the cut's consistency
-  /// guarantee. The pipeline keeps running afterwards.
-  Result<std::vector<std::string>> SnapshotShards();
+  /// have applied every tree Added so far — and returns the shard
+  /// replicas merged into one synopsis (a copy; the replicas keep
+  /// ingesting). By linearity that is exactly the synopsis of the
+  /// trees Added so far. The caller (producer thread) must not Add
+  /// concurrently; that is the cut's consistency guarantee.
+  Result<SketchTree> SnapshotShards();
 
   /// Closes the stream, joins the workers, merges the shard replicas,
   /// and returns the combined synopsis. One-shot: further Add/Finish

@@ -107,8 +107,37 @@ void WriteEntry(const std::string& key, const CompiledQuery& plan,
   }
 }
 
+/// A CRC-valid plan must still fit the synopsis it will run against:
+/// the projection indexes the sketch by residue and the finishes index
+/// the ξ vectors per instance, so either mismatch would read out of
+/// bounds.
+Status CheckPlanShape(const CompiledQuery& plan,
+                      const SketchTreeOptions& options) {
+  for (uint32_t r : plan.plan.residues) {
+    if (r >= options.num_virtual_streams) {
+      return Status::Corruption(
+          "plan cache entry '" + plan.key + "' names residue " +
+          std::to_string(r) + " but the synopsis has " +
+          std::to_string(options.num_virtual_streams) + " virtual streams");
+    }
+  }
+  const size_t instances = static_cast<size_t>(options.s1) * options.s2;
+  auto check_length = [&](const std::vector<double>& xi, const char* what) {
+    if (xi.size() == instances) return Status::OK();
+    return Status::Corruption("plan cache entry '" + plan.key + "' has " +
+                              std::to_string(xi.size()) + " " + what +
+                              ", expected s1*s2 = " +
+                              std::to_string(instances));
+  };
+  SKETCHTREE_RETURN_NOT_OK(check_length(plan.plan.xi_sums, "xi sums"));
+  for (const ExprTermPlan& term : plan.terms) {
+    SKETCHTREE_RETURN_NOT_OK(check_length(term.xi_prods, "xi products"));
+  }
+  return Status::OK();
+}
+
 Result<std::pair<std::string, std::shared_ptr<const CompiledQuery>>>
-ReadEntry(BinaryReader* reader) {
+ReadEntry(BinaryReader* reader, const SketchTreeOptions& options) {
   SKETCHTREE_ASSIGN_OR_RETURN(uint8_t kind, reader->ReadU8());
   if (kind > static_cast<uint8_t>(QueryKind::kExpression) ||
       kind == static_cast<uint8_t>(QueryKind::kExtended)) {
@@ -142,6 +171,7 @@ ReadEntry(BinaryReader* reader) {
     SKETCHTREE_ASSIGN_OR_RETURN(term.xi_prods, ReadDoubles(reader));
     plan->terms.push_back(std::move(term));
   }
+  SKETCHTREE_RETURN_NOT_OK(CheckPlanShape(*plan, options));
   std::string key = plan->key;
   return std::make_pair(std::move(key),
                         std::shared_ptr<const CompiledQuery>(std::move(plan)));
@@ -203,7 +233,7 @@ Result<size_t> LoadPlanCache(const std::string& path,
   SKETCHTREE_ASSIGN_OR_RETURN(uint64_t count, reader.ReadU64());
   size_t loaded = 0;
   for (uint64_t i = 0; i < count; ++i) {
-    SKETCHTREE_ASSIGN_OR_RETURN(auto entry, ReadEntry(&reader));
+    SKETCHTREE_ASSIGN_OR_RETURN(auto entry, ReadEntry(&reader, options));
     cache->Put(entry.first, std::move(entry.second));
     ++loaded;
   }

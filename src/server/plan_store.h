@@ -34,8 +34,9 @@ Status SavePlanCache(const PlanCache& cache, const SketchTreeOptions& options,
 /// Loads plans saved by SavePlanCache into `cache`, oldest-first (so
 /// LRU order survives), and returns how many were restored. Typed
 /// failures: NotFound (no file — a genuinely cold start), Corruption
-/// (checksum/truncation), InvalidArgument (wrong magic/version or an
-/// options tag from a different synopsis).
+/// (checksum/truncation, or a plan whose residues or ξ lengths do not
+/// fit `options`), InvalidArgument (wrong magic/version or an options
+/// tag from a different synopsis).
 Result<size_t> LoadPlanCache(const std::string& path,
                              const SketchTreeOptions& options,
                              PlanCache* cache);

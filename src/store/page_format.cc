@@ -47,7 +47,7 @@ void EncodeHeader(const PagedHeader& header, std::string* out) {
   writer.WriteU64(header.dir_length);
   writer.WriteU32(header.dir_crc);
   writer.WriteU64(header.meta_length);
-  writer.WriteU32(0);  // reserved — pads the CRC-covered prefix to 96 bytes
+  writer.WriteU32(header.cursor_length);
   writer.WriteU32(Crc32(writer.buffer()));
   std::string encoded = writer.Release();
   out->append(encoded);
@@ -96,32 +96,37 @@ std::string AssembleImage(PagedHeader header, std::vector<PageEntry> entries,
   return image;
 }
 
-/// Splits the meta blob and the given counter page set into directory
-/// entries + payload views, shared by the full and delta encoders.
-/// `counter_page_ids` selects which plane pages to emit.
+/// Splits `blob` into pages of `kind` with ordinal page ids.
+void AppendBlobPages(PageKind kind, std::string_view blob,
+                     std::vector<PageEntry>* entries,
+                     std::vector<std::string_view>* payloads) {
+  for (size_t i = 0; i < PagesFor(blob.size()); ++i) {
+    std::string_view slice = blob.substr(i * kPagedPageSize, kPagedPageSize);
+    PageEntry entry;
+    entry.page_id = static_cast<uint32_t>(i);
+    entry.kind = kind;
+    entry.payload_length = static_cast<uint32_t>(slice.size());
+    entry.crc = Crc32(slice);
+    entries->push_back(entry);
+    payloads->push_back(slice);
+  }
+}
+
+/// Splits the meta blob, the cursor blob and the given counter page set
+/// into directory entries + payload views, shared by the full and delta
+/// encoders. `counter_page_ids` selects which plane pages to emit.
 std::string EncodeImage(PagedHeader header, std::string_view meta,
-                        const double* plane, size_t plane_doubles,
+                        std::string_view cursor, const double* plane,
+                        size_t plane_doubles,
                         const std::vector<uint32_t>& counter_page_ids) {
   header.meta_length = meta.size();
+  header.cursor_length = static_cast<uint32_t>(cursor.size());
   header.counter_doubles = plane_doubles;
 
   std::vector<PageEntry> entries;
   std::vector<std::string_view> payloads;
-  size_t meta_pages = PagesFor(meta.size());
-  entries.reserve(meta_pages + counter_page_ids.size());
-  payloads.reserve(meta_pages + counter_page_ids.size());
-  for (size_t i = 0; i < meta_pages; ++i) {
-    std::string_view slice = meta.substr(
-        i * kPagedPageSize, std::min<size_t>(kPagedPageSize,
-                                             meta.size() - i * kPagedPageSize));
-    PageEntry entry;
-    entry.page_id = static_cast<uint32_t>(i);
-    entry.kind = PageKind::kMeta;
-    entry.payload_length = static_cast<uint32_t>(slice.size());
-    entry.crc = Crc32(slice);
-    entries.push_back(entry);
-    payloads.push_back(slice);
-  }
+  AppendBlobPages(PageKind::kMeta, meta, &entries, &payloads);
+  AppendBlobPages(PageKind::kCursor, cursor, &entries, &payloads);
   std::string_view plane_bytes = BytesOf(plane, plane_doubles);
   for (uint32_t page_id : counter_page_ids) {
     size_t begin = static_cast<size_t>(page_id) * kPagedPageSize;
@@ -172,8 +177,7 @@ Result<PagedHeader> ParseHeader(std::string_view bytes) {
   SKETCHTREE_ASSIGN_OR_RETURN(header.dir_length, reader.ReadU64());
   SKETCHTREE_ASSIGN_OR_RETURN(header.dir_crc, reader.ReadU32());
   SKETCHTREE_ASSIGN_OR_RETURN(header.meta_length, reader.ReadU64());
-  SKETCHTREE_ASSIGN_OR_RETURN(uint32_t reserved, reader.ReadU32());
-  (void)reserved;
+  SKETCHTREE_ASSIGN_OR_RETURN(header.cursor_length, reader.ReadU32());
   uint32_t stored_crc = 0;
   SKETCHTREE_ASSIGN_OR_RETURN(stored_crc, reader.ReadU32());
   uint32_t computed = Crc32(bytes.substr(0, kPagedHeaderBytes - 4));
@@ -186,6 +190,46 @@ Result<PagedHeader> ParseHeader(std::string_view bytes) {
                               std::to_string(header.chain_depth));
   }
   return header;
+}
+
+const char* KindName(PageKind kind) {
+  switch (kind) {
+    case PageKind::kMeta:
+      return "meta";
+    case PageKind::kCounters:
+      return "counter";
+    case PageKind::kCursor:
+      return "cursor";
+  }
+  return "unknown";
+}
+
+/// Concatenates one blob's pages in page-id order into `out`, checking
+/// that the ids run 0..n-1 and the bytes add up to `expected_length`.
+Status ReassembleBlob(PageKind kind, uint64_t expected_length,
+                      std::vector<ParsedPage>* pages, std::string* out) {
+  uint64_t total = 0;
+  for (const ParsedPage& page : *pages) total += page.entry.payload_length;
+  if (total != expected_length) {
+    return Status::Corruption(std::string(KindName(kind)) + " pages hold " +
+                              std::to_string(total) +
+                              " bytes but the header promises " +
+                              std::to_string(expected_length));
+  }
+  std::sort(pages->begin(), pages->end(),
+            [](const ParsedPage& a, const ParsedPage& b) {
+              return a.entry.page_id < b.entry.page_id;
+            });
+  out->reserve(total);
+  for (size_t i = 0; i < pages->size(); ++i) {
+    if ((*pages)[i].entry.page_id != i) {
+      return Status::Corruption(std::string(KindName(kind)) +
+                                " page sequence has a gap at ordinal " +
+                                std::to_string(i));
+    }
+    out->append((*pages)[i].payload);
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -203,7 +247,8 @@ uint32_t PlaneCrc(const double* plane, size_t count) {
 
 std::string EncodeFullSnapshotImage(std::string_view meta, const double* plane,
                                     size_t plane_doubles, uint64_t epoch,
-                                    uint64_t trees_processed) {
+                                    uint64_t trees_processed,
+                                    std::string_view cursor) {
   PagedHeader header;
   header.epoch = epoch;
   header.trees_processed = trees_processed;
@@ -214,7 +259,7 @@ std::string EncodeFullSnapshotImage(std::string_view meta, const double* plane,
   for (size_t i = 0; i < plane_pages; ++i) {
     page_ids.push_back(static_cast<uint32_t>(i));
   }
-  return EncodeImage(header, meta, plane, plane_doubles, page_ids);
+  return EncodeImage(header, meta, cursor, plane, plane_doubles, page_ids);
 }
 
 std::string EncodeDeltaSnapshotImage(std::string_view meta,
@@ -224,7 +269,8 @@ std::string EncodeDeltaSnapshotImage(std::string_view meta,
                                      uint64_t trees_processed,
                                      uint64_t base_epoch,
                                      uint32_t base_plane_crc,
-                                     uint32_t chain_depth) {
+                                     uint32_t chain_depth,
+                                     std::string_view cursor) {
   PagedHeader header;
   header.flags = kPagedFlagDelta;
   header.epoch = epoch;
@@ -248,7 +294,7 @@ std::string EncodeDeltaSnapshotImage(std::string_view meta,
       dirty.push_back(static_cast<uint32_t>(i));
     }
   }
-  return EncodeImage(header, meta, plane, plane_doubles, dirty);
+  return EncodeImage(header, meta, cursor, plane, plane_doubles, dirty);
 }
 
 Result<ParsedSnapshot> ParsePagedSnapshot(std::string_view bytes,
@@ -276,7 +322,7 @@ Result<ParsedSnapshot> ParsePagedSnapshot(std::string_view bytes,
 
   BinaryReader dir(dir_bytes);
   std::vector<ParsedPage> meta_pages;
-  uint64_t meta_bytes = 0;
+  std::vector<ParsedPage> cursor_pages;
   uint64_t counter_bytes = 0;
   for (uint32_t i = 0; i < header.page_count; ++i) {
     PageEntry entry;
@@ -285,8 +331,8 @@ Result<ParsedSnapshot> ParsePagedSnapshot(std::string_view bytes,
     SKETCHTREE_ASSIGN_OR_RETURN(entry.file_offset, dir.ReadU64());
     SKETCHTREE_ASSIGN_OR_RETURN(entry.payload_length, dir.ReadU32());
     SKETCHTREE_ASSIGN_OR_RETURN(entry.crc, dir.ReadU32());
-    if (kind != static_cast<uint32_t>(PageKind::kMeta) &&
-        kind != static_cast<uint32_t>(PageKind::kCounters)) {
+    if (kind < static_cast<uint32_t>(PageKind::kMeta) ||
+        kind > static_cast<uint32_t>(PageKind::kCursor)) {
       return Status::Corruption("page " + std::to_string(entry.page_id) +
                                 " has unknown kind " + std::to_string(kind));
     }
@@ -297,11 +343,9 @@ Result<ParsedSnapshot> ParsePagedSnapshot(std::string_view bytes,
     if (entry.payload_length > kPagedPageSize ||
         entry.file_offset % kPagedPageSize != 0 ||
         entry.file_offset + kPagedPageSize > bytes.size()) {
-      const char* what =
-          entry.kind == PageKind::kMeta ? "meta page " : "counter page ";
       return Status::Corruption(
-          std::string(what) + std::to_string(entry.page_id) +
-          " lies outside the file (offset " +
+          std::string(KindName(entry.kind)) + " page " +
+          std::to_string(entry.page_id) + " lies outside the file (offset " +
           std::to_string(entry.file_offset) + ", length " +
           std::to_string(entry.payload_length) + ", file " +
           std::to_string(bytes.size()) + " bytes)");
@@ -309,42 +353,33 @@ Result<ParsedSnapshot> ParsePagedSnapshot(std::string_view bytes,
     ParsedPage page;
     page.entry = entry;
     page.payload = bytes.substr(entry.file_offset, entry.payload_length);
-    if (entry.kind == PageKind::kMeta) {
-      // Meta is always verified — it is needed to build anything at all.
-      if (Crc32(page.payload) != entry.crc) {
-        return Status::Corruption("meta page " + std::to_string(entry.page_id) +
-                                  " checksum mismatch");
-      }
-      meta_bytes += entry.payload_length;
-      meta_pages.push_back(page);
-    } else {
-      if (verify == PageVerify::kAll && Crc32(page.payload) != entry.crc) {
-        return Status::Corruption("counter page " +
-                                  std::to_string(entry.page_id) +
-                                  " checksum mismatch");
-      }
-      counter_bytes += entry.payload_length;
-      parsed.counter_pages.push_back(page);
+    // Meta and cursor pages are always verified — meta is needed to
+    // build anything at all, and the cursor is what a resume trusts.
+    if ((entry.kind != PageKind::kCounters || verify == PageVerify::kAll) &&
+        Crc32(page.payload) != entry.crc) {
+      return Status::Corruption(std::string(KindName(entry.kind)) + " page " +
+                                std::to_string(entry.page_id) +
+                                " checksum mismatch");
+    }
+    switch (entry.kind) {
+      case PageKind::kMeta:
+        meta_pages.push_back(page);
+        break;
+      case PageKind::kCursor:
+        cursor_pages.push_back(page);
+        break;
+      case PageKind::kCounters:
+        counter_bytes += entry.payload_length;
+        parsed.counter_pages.push_back(page);
+        break;
     }
   }
 
-  if (meta_bytes != header.meta_length) {
-    return Status::Corruption("meta pages hold " + std::to_string(meta_bytes) +
-                              " bytes but the header promises " +
-                              std::to_string(header.meta_length));
-  }
-  std::sort(meta_pages.begin(), meta_pages.end(),
-            [](const ParsedPage& a, const ParsedPage& b) {
-              return a.entry.page_id < b.entry.page_id;
-            });
-  parsed.meta.reserve(meta_bytes);
-  for (size_t i = 0; i < meta_pages.size(); ++i) {
-    if (meta_pages[i].entry.page_id != i) {
-      return Status::Corruption("meta page sequence has a gap at ordinal " +
-                                std::to_string(i));
-    }
-    parsed.meta.append(meta_pages[i].payload);
-  }
+  SKETCHTREE_RETURN_NOT_OK(ReassembleBlob(PageKind::kMeta, header.meta_length,
+                                          &meta_pages, &parsed.meta));
+  SKETCHTREE_RETURN_NOT_OK(ReassembleBlob(PageKind::kCursor,
+                                          header.cursor_length, &cursor_pages,
+                                          &parsed.cursor));
 
   std::sort(parsed.counter_pages.begin(), parsed.counter_pages.end(),
             [](const ParsedPage& a, const ParsedPage& b) {

@@ -23,6 +23,8 @@ namespace sketchtree {
 ///   pages 1..d    page directory: one 24-byte entry per payload page
 ///                 {page_id, kind, file_offset, payload_length, crc}
 ///   meta pages    the SerializeMetaToString blob, split into pages
+///   cursor pages  an optional caller blob (a build's stream cursor),
+///                 opaque to the store, split into pages like meta
 ///   counter pages the counter plane, 512 doubles per page, written
 ///                 consecutively at page-aligned offsets
 ///
@@ -54,6 +56,7 @@ inline constexpr size_t kPagedDirEntryBytes = 24;
 enum class PageKind : uint32_t {
   kMeta = 1,      ///< A slice of the meta blob.
   kCounters = 2,  ///< 512 raw little-endian doubles of the plane.
+  kCursor = 3,    ///< A slice of the caller's cursor blob.
 };
 
 /// Fixed header, page 0. `header_crc` covers the preceding 96 bytes.
@@ -76,6 +79,9 @@ struct PagedHeader {
   uint64_t dir_length = 0;
   uint32_t dir_crc = 0;
   uint64_t meta_length = 0;  ///< Meta blob bytes across the meta pages.
+  /// Cursor blob bytes across the cursor pages; 0 (no cursor pages)
+  /// encodes exactly like a file written before cursors existed.
+  uint32_t cursor_length = 0;
 
   bool is_delta() const { return (flags & kPagedFlagDelta) != 0; }
 };
@@ -97,10 +103,10 @@ struct ParsedPage {
 
 /// How much of the image ParsePagedSnapshot checksums up front.
 enum class PageVerify {
-  /// Header, directory, and meta pages only — counter page CRCs are
-  /// recorded but not computed. The mapped warm-restart path uses this
-  /// so attach cost stays O(meta), then verifies counters lazily via
-  /// VerifyCounterPages (inspect) or materialization.
+  /// Header, directory, meta and cursor pages only — counter page CRCs
+  /// are recorded but not computed. The mapped warm-restart path uses
+  /// this so attach cost stays O(meta), then verifies counters lazily
+  /// via VerifyCounterPages (inspect) or materialization.
   kMetaOnly,
   /// Everything, counter pages included.
   kAll,
@@ -110,6 +116,7 @@ enum class PageVerify {
 struct ParsedSnapshot {
   PagedHeader header;
   std::string meta;  ///< Reassembled meta blob (meta_length bytes).
+  std::string cursor;  ///< Reassembled cursor blob (cursor_length bytes).
   /// Counter pages in ascending page_id order. For a full snapshot the
   /// ids are exactly 0..N-1; for a delta they are the dirty subset.
   std::vector<ParsedPage> counter_pages;
@@ -130,18 +137,19 @@ bool IsPagedSnapshot(std::string_view bytes);
 uint32_t PlaneCrc(const double* plane, size_t count);
 
 /// Encodes a full (chain-depth-0) snapshot image: every counter page,
-/// contiguous, plus the meta blob.
+/// contiguous, plus the meta blob and the (possibly empty) cursor blob.
 std::string EncodeFullSnapshotImage(std::string_view meta,
                                     const double* plane, size_t plane_doubles,
-                                    uint64_t epoch, uint64_t trees_processed);
+                                    uint64_t epoch, uint64_t trees_processed,
+                                    std::string_view cursor = {});
 
 /// Encodes a delta image: only the counter pages on which `plane`
 /// differs from `base_plane` (same length), stamped with the base's
 /// epoch and plane CRC. `chain_depth` is the delta's own depth
-/// (base depth + 1). The full meta blob rides along — it is small and
-/// changes every epoch. Consults kStoreStaleDeltaBase, which corrupts
-/// the base stamp to simulate a delta published against a base that was
-/// since rewritten.
+/// (base depth + 1). The full meta and cursor blobs ride along — they
+/// are small and change every epoch. Consults kStoreStaleDeltaBase,
+/// which corrupts the base stamp to simulate a delta published against
+/// a base that was since rewritten.
 std::string EncodeDeltaSnapshotImage(std::string_view meta,
                                      const double* plane,
                                      const double* base_plane,
@@ -149,7 +157,8 @@ std::string EncodeDeltaSnapshotImage(std::string_view meta,
                                      uint64_t trees_processed,
                                      uint64_t base_epoch,
                                      uint32_t base_plane_crc,
-                                     uint32_t chain_depth);
+                                     uint32_t chain_depth,
+                                     std::string_view cursor = {});
 
 /// Validates and indexes a v3 image. InvalidArgument for wrong
 /// magic/version, OutOfRange for an image too short to hold what the

@@ -37,6 +37,7 @@ struct StoreMetrics {
   Counter* mmap_fallbacks;
   Counter* epochs_skipped;
   Counter* pruned;
+  Counter* tmp_swept;
 };
 
 StoreMetrics& Metrics() {
@@ -51,6 +52,7 @@ StoreMetrics& Metrics() {
       GlobalMetrics().GetCounter("store.mmap_fallbacks"),
       GlobalMetrics().GetCounter("store.epochs_skipped"),
       GlobalMetrics().GetCounter("store.pruned"),
+      GlobalMetrics().GetCounter("store.tmp_swept"),
   };
   return metrics;
 }
@@ -101,6 +103,34 @@ bool ShouldSkipEpoch(const Status& status) { return !status.ok(); }
 
 }  // namespace
 
+StoreEpochInfo DescribeSnapshot(const ParsedSnapshot& parsed,
+                                std::string path, uint64_t file_bytes) {
+  const PagedHeader& header = parsed.header;
+  StoreEpochInfo info;
+  info.epoch = header.epoch;
+  info.path = std::move(path);
+  info.file_bytes = file_bytes;
+  info.is_delta = header.is_delta();
+  info.base_epoch = header.base_epoch;
+  info.chain_depth = header.chain_depth;
+  info.trees_processed = header.trees_processed;
+  info.page_count = header.page_count;
+  info.counter_pages = static_cast<uint32_t>(parsed.counter_pages.size());
+  info.meta_pages = static_cast<uint32_t>(
+      (header.meta_length + kPagedPageSize - 1) / kPagedPageSize);
+  info.cursor_bytes = header.cursor_length;
+  info.counter_doubles = header.counter_doubles;
+  uint64_t plane_pages =
+      (header.counter_doubles * sizeof(double) + kPagedPageSize - 1) /
+      kPagedPageSize;
+  info.dirty_ratio = plane_pages == 0
+                         ? 0.0
+                         : static_cast<double>(info.counter_pages) /
+                               static_cast<double>(plane_pages);
+  info.page_verdict = VerifyCounterPages(parsed);
+  return info;
+}
+
 std::string SynopsisStore::EpochFileName(uint64_t epoch) {
   return std::string(kEpochPrefix) + std::to_string(epoch) + kEpochSuffix;
 }
@@ -116,6 +146,18 @@ Result<SynopsisStore> SynopsisStore::Open(const std::string& directory,
   if (ec) {
     return Status::IOError("cannot create store directory '" + directory +
                            "': " + ec.message());
+  }
+  for (const fs::directory_entry& entry :
+       fs::directory_iterator(directory, ec)) {
+    const std::string name = entry.path().filename().string();
+    if (name.size() > 4 && name.compare(name.size() - 4, 4, ".tmp") == 0) {
+      // Debris of an atomic write interrupted before its rename: the
+      // data never became an epoch (or plan cache), so sweep it.
+      std::error_code remove_ec;
+      if (fs::remove(entry.path(), remove_ec)) {
+        Metrics().tmp_swept->Increment();
+      }
+    }
   }
   SynopsisStore store(directory, options);
   std::vector<uint64_t> epochs = store.ListEpochs();
@@ -137,7 +179,8 @@ std::vector<uint64_t> SynopsisStore::ListEpochs() const {
   return epochs;
 }
 
-Status SynopsisStore::Persist(const SketchTree& sketch, uint64_t epoch) {
+Status SynopsisStore::Persist(const SketchTree& sketch, uint64_t epoch,
+                              std::string_view cursor) {
   if (epoch <= newest_epoch_) {
     return Status::InvalidArgument(
         "epoch " + std::to_string(epoch) + " does not advance the store (at " +
@@ -158,9 +201,11 @@ Status SynopsisStore::Persist(const SketchTree& sketch, uint64_t epoch) {
   if (as_delta) {
     image = EncodeDeltaSnapshotImage(meta, plane.data(), last_plane_.data(),
                                      doubles, epoch, trees, last_epoch_,
-                                     last_plane_crc_, last_chain_depth_ + 1);
+                                     last_plane_crc_, last_chain_depth_ + 1,
+                                     cursor);
   } else {
-    image = EncodeFullSnapshotImage(meta, plane.data(), doubles, epoch, trees);
+    image = EncodeFullSnapshotImage(meta, plane.data(), doubles, epoch, trees,
+                                    cursor);
   }
   size_t image_bytes = image.size();
 
@@ -182,6 +227,19 @@ Status SynopsisStore::Persist(const SketchTree& sketch, uint64_t epoch) {
   (as_delta ? Metrics().persist_delta : Metrics().persist_full)->Increment();
   Metrics().bytes_written->Increment(image_bytes);
 
+  if (!as_delta) {
+    // Keep the superseded chain as the fallback in case this full write
+    // is torn; only what precedes it goes. A writer that has not
+    // persisted yet learns that chain from the headers on disk, and an
+    // unreadable newest epoch defers pruning to the next full write.
+    uint64_t superseded = chain_base_;
+    if (last_epoch_ == 0 && newest_epoch_ != 0) {
+      Result<uint64_t> base = ChainBase(newest_epoch_);
+      superseded = base.ok() ? *base : 0;
+    }
+    PruneBelow(superseded);
+    chain_base_ = epoch;
+  }
   // The writer believes the write succeeded (a genuinely torn write
   // would too); the loader's page validation is what catches the tear.
   last_plane_crc_ = PlaneCrc(plane.data(), plane.size());
@@ -189,7 +247,6 @@ Status SynopsisStore::Persist(const SketchTree& sketch, uint64_t epoch) {
   last_epoch_ = epoch;
   last_chain_depth_ = as_delta ? last_chain_depth_ + 1 : 0;
   newest_epoch_ = epoch;
-  if (!as_delta) PruneBelow(epoch);
   return Status::OK();
 }
 
@@ -218,33 +275,18 @@ Result<StoreEpochInfo> SynopsisStore::InspectEpoch(uint64_t epoch) const {
   Result<ParsedSnapshot> parsed_or =
       ReadEpoch(epoch, PageVerify::kMetaOnly, &buffer);
   if (!parsed_or.ok()) return parsed_or.status();
-  const ParsedSnapshot& parsed = parsed_or.value();
-
-  StoreEpochInfo info;
+  StoreEpochInfo info =
+      DescribeSnapshot(parsed_or.value(), EpochPath(epoch), buffer.size());
   info.epoch = epoch;
-  info.path = EpochPath(epoch);
-  info.file_bytes = buffer.size();
-  info.is_delta = parsed.header.is_delta();
-  info.base_epoch = parsed.header.base_epoch;
-  info.chain_depth = parsed.header.chain_depth;
-  info.trees_processed = parsed.header.trees_processed;
-  info.page_count = parsed.header.page_count;
-  info.counter_pages = static_cast<uint32_t>(parsed.counter_pages.size());
-  info.meta_pages = info.page_count - info.counter_pages;
-  info.counter_doubles = parsed.header.counter_doubles;
-  uint64_t plane_pages =
-      (parsed.header.counter_doubles * sizeof(double) + kPagedPageSize - 1) /
-      kPagedPageSize;
-  info.dirty_ratio =
-      plane_pages == 0
-          ? 0.0
-          : static_cast<double>(info.counter_pages) /
-                static_cast<double>(plane_pages);
-  info.page_verdict = VerifyCounterPages(parsed);
   return info;
 }
 
 Result<SketchTree> SynopsisStore::MaterializeEpoch(uint64_t epoch) const {
+  return Materialize(epoch, nullptr);
+}
+
+Result<SketchTree> SynopsisStore::Materialize(uint64_t epoch,
+                                              std::string* cursor) const {
   // Walk the chain newest-to-oldest until a full snapshot anchors it.
   std::vector<std::unique_ptr<std::string>> buffers;
   std::vector<ParsedSnapshot> chain;
@@ -281,6 +323,7 @@ Result<SketchTree> SynopsisStore::MaterializeEpoch(uint64_t epoch) const {
     if (!status.ok()) return AnnotateEpoch(status, chain[i].header.epoch);
   }
   Metrics().loads_materialized->Increment();
+  if (cursor != nullptr) *cursor = chain.front().cursor;
   return SketchTree::FromMetaAndCounters(chain.front().meta, plane.data(),
                                          plane.size(), /*attach=*/false);
 }
@@ -290,9 +333,8 @@ Result<LoadedSynopsis> SynopsisStore::TryMapAttach(uint64_t epoch) const {
   if (!mapped.ok()) return AnnotateEpoch(mapped.status(), epoch);
   auto mapping = std::make_shared<MmapFile>(std::move(mapped).value());
 
-  Result<ParsedSnapshot> parsed_or = ParsePagedSnapshot(
-      mapping->view(), options_.verify_pages_on_map ? PageVerify::kAll
-                                                    : PageVerify::kMetaOnly);
+  Result<ParsedSnapshot> parsed_or =
+      ParsePagedSnapshot(mapping->view(), PageVerify::kMetaOnly);
   if (!parsed_or.ok()) return AnnotateEpoch(parsed_or.status(), epoch);
   const ParsedSnapshot& parsed = parsed_or.value();
   if (parsed.header.is_delta() || !parsed.counters_contiguous) {
@@ -306,8 +348,10 @@ Result<LoadedSynopsis> SynopsisStore::TryMapAttach(uint64_t epoch) const {
       parsed.meta, plane, parsed.header.counter_doubles, /*attach=*/true);
   if (!sketch.ok()) return AnnotateEpoch(sketch.status(), epoch);
   Metrics().loads_mapped->Increment();
-  return LoadedSynopsis(std::move(sketch).value(), epoch, /*mapped=*/true,
+  LoadedSynopsis loaded(std::move(sketch).value(), epoch, /*mapped=*/true,
                         std::move(mapping));
+  loaded.cursor = parsed.cursor;
+  return loaded;
 }
 
 Result<LoadedSynopsis> SynopsisStore::LoadNewest() const {
@@ -330,10 +374,13 @@ Result<LoadedSynopsis> SynopsisStore::LoadNewest() const {
         Metrics().mmap_fallbacks->Increment();
       }
     }
-    Result<SketchTree> materialized = MaterializeEpoch(epoch);
+    std::string cursor;
+    Result<SketchTree> materialized = Materialize(epoch, &cursor);
     if (materialized.ok()) {
-      return LoadedSynopsis(std::move(materialized).value(), epoch,
+      LoadedSynopsis loaded(std::move(materialized).value(), epoch,
                             /*mapped=*/false, nullptr);
+      loaded.cursor = std::move(cursor);
+      return loaded;
     }
     if (ShouldSkipEpoch(materialized.status())) {
       Metrics().epochs_skipped->Increment();

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -15,17 +16,15 @@ namespace sketchtree {
 
 struct SynopsisStoreOptions {
   /// Deltas allowed on a chain before the next publish rewrites a full
-  /// snapshot (and prunes the superseded chain). 0 = always write full.
+  /// snapshot (and prunes the chain before the superseded one). 0 =
+  /// always write full.
   size_t delta_max_chain = 8;
   /// Map full snapshots read-only and attach their counter pages
-  /// zero-copy on load. Off = always materialize through owned memory
-  /// (the --no-mmap escape hatch).
+  /// zero-copy on load (header, directory, meta and cursor pages are
+  /// verified eagerly; counter CRCs lazily, so warm restart stays
+  /// O(meta)). Off = always materialize through owned memory (the
+  /// --no-mmap escape hatch, and what a resuming build uses).
   bool use_mmap = true;
-  /// Checksum every counter page before a mapped attach. Default off:
-  /// header, directory, and meta are always verified eagerly; counter
-  /// CRCs are verified lazily (inspect, materialization) so warm
-  /// restart stays O(meta) instead of O(plane).
-  bool verify_pages_on_map = false;
 };
 
 /// One store file's shape, as reported by `inspect --store` — derived
@@ -38,9 +37,10 @@ struct StoreEpochInfo {
   uint64_t base_epoch = 0;
   uint32_t chain_depth = 0;
   uint64_t trees_processed = 0;
-  uint32_t page_count = 0;     ///< Directory entries (meta + counter).
+  uint32_t page_count = 0;  ///< Directory entries (meta + cursor + counter).
   uint32_t meta_pages = 0;
   uint32_t counter_pages = 0;  ///< Full: whole plane. Delta: dirty pages.
+  uint32_t cursor_bytes = 0;   ///< The caller cursor's length (0 = none).
   uint64_t counter_doubles = 0;
   /// counter_pages / pages-in-a-full-plane: 1.0 for a full snapshot,
   /// the dirty-page ratio for a delta.
@@ -48,6 +48,11 @@ struct StoreEpochInfo {
   /// OK, or the first per-page CRC failure (named by page index).
   Status page_verdict;
 };
+
+/// The report for one parsed image of `file_bytes` bytes at `path`,
+/// including the deferred counter-page CRC sweep.
+StoreEpochInfo DescribeSnapshot(const ParsedSnapshot& parsed,
+                                std::string path, uint64_t file_bytes);
 
 /// A synopsis loaded from the store, plus whatever keeps it alive.
 /// When `mapped` is true the sketch's counter plane aliases `mapping`;
@@ -59,6 +64,8 @@ struct LoadedSynopsis {
   uint64_t epoch = 0;
   bool mapped = false;
   std::shared_ptr<MmapFile> mapping;
+  /// The caller cursor persisted with the epoch (empty when none was).
+  std::string cursor;
 
   LoadedSynopsis(SketchTree sketch_in, uint64_t epoch_in, bool mapped_in,
                  std::shared_ptr<MmapFile> mapping_in)
@@ -73,23 +80,29 @@ struct LoadedSynopsis {
 ///
 /// Write side: Persist() encodes the live synopsis as a full snapshot
 /// or — when the previous epoch is on disk and the chain is short
-/// enough — as a counter-diff delta against it. Each full write prunes
-/// every older file, bounding the directory at one full snapshot plus
-/// at most delta_max_chain deltas.
+/// enough — as a counter-diff delta against it. A full write prunes
+/// only the epochs older than the chain it supersedes, so the directory
+/// holds at most two chains: the newest, and the one before it as the
+/// fallback should the newest full write turn out torn.
 ///
 /// Read side: LoadNewest() walks epochs newest-first and returns the
 /// first one that validates, preferring the zero-copy mmap attach for
 /// full snapshots and falling back to materialization (and to older
-/// epochs on typed corruption) — the same degradation ladder as the
-/// checkpointer, at page granularity. MaterializeEpoch() replays a
-/// delta chain into owned memory and is byte-exact: the resulting
-/// plane is identical to the full snapshot of the same epoch.
+/// epochs on typed corruption). MaterializeEpoch() replays a delta
+/// chain into owned memory and is byte-exact: the resulting plane is
+/// identical to the full snapshot of the same epoch.
+///
+/// Each epoch may carry an opaque caller cursor (a build's stream
+/// position), CRC'd like every page and returned by LoadNewest, so a
+/// build checkpoint is one epoch: synopsis and cursor commit together.
 ///
 /// Single-writer, like the ingest loop that feeds it. Not thread-safe.
 class SynopsisStore {
  public:
-  /// Opens (creating if necessary) the store directory and scans it for
-  /// existing epochs. IOError when the directory cannot be created.
+  /// Opens (creating if necessary) the store directory, sweeps the
+  /// ".tmp" debris of atomic writes interrupted before their rename,
+  /// and scans it for existing epochs. IOError when the directory
+  /// cannot be created.
   static Result<SynopsisStore> Open(const std::string& directory,
                                     const SynopsisStoreOptions& options = {});
 
@@ -100,12 +113,13 @@ class SynopsisStore {
   std::string PlanCachePath() const { return directory_ + "/plans.skpc"; }
 
   /// Persists `sketch` as epoch `epoch` (must exceed the newest epoch
-  /// on disk). Full-or-delta policy is internal; consult the metrics
-  /// (store.persist_full / store.persist_delta) or inspect to see which
-  /// was chosen. Consults kStoreTornPageWrite, which truncates the
-  /// encoded image before the atomic write — the loader must then skip
-  /// the epoch as Corruption.
-  Status Persist(const SketchTree& sketch, uint64_t epoch);
+  /// on disk), with `cursor` stored verbatim beside it. Full-or-delta
+  /// policy is internal; consult the metrics (store.persist_full /
+  /// store.persist_delta) or inspect to see which was chosen. Consults
+  /// kStoreTornPageWrite, which truncates the encoded image before the
+  /// atomic write — the loader must then skip the epoch as Corruption.
+  Status Persist(const SketchTree& sketch, uint64_t epoch,
+                 std::string_view cursor = {});
 
   /// Newest epoch present when the store was opened or last persisted
   /// (0 when empty). A restarted publisher continues from this + 1.
@@ -149,6 +163,8 @@ class SynopsisStore {
   /// the parsed views alias.
   Result<ParsedSnapshot> ReadEpoch(uint64_t epoch, PageVerify verify,
                                    std::string* buffer) const;
+  /// MaterializeEpoch, also returning the epoch's cursor.
+  Result<SketchTree> Materialize(uint64_t epoch, std::string* cursor) const;
   /// Attempts the zero-copy path for one epoch. Statuses bubble up so
   /// LoadNewest can decide between materializing and skipping.
   Result<LoadedSynopsis> TryMapAttach(uint64_t epoch) const;
@@ -166,6 +182,9 @@ class SynopsisStore {
   uint32_t last_plane_crc_ = 0;
   uint64_t last_epoch_ = 0;
   uint32_t last_chain_depth_ = 0;
+  // Full epoch that anchors the chain of last_epoch_ — what the next
+  // full write supersedes. Meaningful only once last_epoch_ != 0.
+  uint64_t chain_base_ = 0;
 };
 
 /// Loads one standalone v3 paged snapshot *file* (`serve --synopsis`

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -508,6 +509,17 @@ TEST(QueryServerTest, ShutdownShedsQueuedWorkWithExplicitError) {
   ASSERT_TRUE(server.ok());
   Counter* shed = GlobalMetrics().GetCounter("server.shed_on_shutdown");
   const uint64_t shed_before = shed->value();
+  Gauge* depth = GlobalMetrics().GetGauge("server.queue_depth");
+  Histogram* dequeued = GlobalMetrics().GetHistogram(
+      "server.queue_wait_us", Histogram::ExponentialBounds(1, 2.0, 21));
+  const uint64_t dequeued_before = dequeued->TotalCount();
+  // Polls `done` for up to 30 s; the waits below are state, not timing.
+  auto wait_until = [](const std::function<bool()>& done) {
+    for (int i = 0; i < 30000 && !done(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return done();
+  };
 
   TestClient client((*server)->port());
   ASSERT_TRUE(client.connected());
@@ -516,12 +528,17 @@ TEST(QueryServerTest, ShutdownShedsQueuedWorkWithExplicitError) {
   // the queued requests must be shed with SHUTTING_DOWN, not executed
   // at full cost on the way out.
   client.Send("{\"op\":\"count\",\"q\":\"A(B,C,D,E,F,G,H,I)\",\"id\":1}\n");
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  // Id 1 is dequeued: its queue wait is recorded right after the pop.
+  // (A queue depth of 0 alone cannot tell "dequeued" from "not yet
+  // admitted".)
+  ASSERT_TRUE(
+      wait_until([&] { return dequeued->TotalCount() > dequeued_before; }));
   client.Send(
       "{\"op\":\"count_ord\",\"q\":\"A(B,C)\",\"id\":2}\n"
       "{\"op\":\"count_ord\",\"q\":\"A(B,D)\",\"id\":3}\n"
       "{\"op\":\"count\",\"q\":\"Z(Q,R,S,T,U,V,W,Y)\",\"id\":4}\n");
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  // All three are queued behind the busy worker.
+  ASSERT_TRUE(wait_until([&] { return depth->value() == 3; }));
   (*server)->Shutdown();
 
   std::string blocker_reply = client.ReadLine();

@@ -1,5 +1,5 @@
 // Kill-and-restart recovery: a build interrupted at an arbitrary point
-// and resumed from its newest valid checkpoint must serialize
+// and resumed from the newest intact synopsis-store epoch must serialize
 // bit-identically to the uninterrupted run, and every injected fault
 // must surface as a typed Status (or be absorbed), never a crash.
 #include <gtest/gtest.h>
@@ -9,12 +9,12 @@
 #include <string>
 #include <vector>
 
-#include "checkpoint/checkpointer.h"
 #include "core/sketch_tree.h"
 #include "datagen/treebank_gen.h"
 #include "faultinject/fault_injector.h"
 #include "ingest/parallel_ingester.h"
 #include "ingest/quarantine.h"
+#include "store/synopsis_store.h"
 #include "tree/tree_serialization.h"
 #include "xml/xml_tree_reader.h"
 #include "temp_path.h"
@@ -58,6 +58,18 @@ SketchTreeOptions RecoveryOptions() {
   options.seed = 21;
   options.build_structural_summary = true;
   return options;
+}
+
+/// A store that loads into owned memory, as a resuming build does.
+SynopsisStore OpenCheckpoints(const fs::path& dir) {
+  SynopsisStoreOptions options;
+  options.use_mmap = false;
+  return std::move(SynopsisStore::Open(dir.string(), options)).value();
+}
+
+/// The checkpoint cursor of these tests: trees streamed, as a decimal.
+uint64_t TreesStreamed(const LoadedSynopsis& loaded) {
+  return std::stoull(loaded.cursor);
 }
 
 class RecoveryTest : public ::testing::Test {
@@ -198,20 +210,15 @@ TEST_F(RecoveryTest, ResumedSerialBuildIsBitIdentical) {
   // stream and throw the in-memory synopsis away) mid-way through the
   // third window, at tree 50.
   {
-    Result<Checkpointer> checkpointer =
-        Checkpointer::Create(dir_.string());
-    ASSERT_TRUE(checkpointer.ok());
+    SynopsisStore checkpoints = OpenCheckpoints(dir_);
     SketchTree doomed = *SketchTree::Create(RecoveryOptions());
     Status aborted = StreamXmlForestEx(
-        xml, [&](LabeledTree tree, uint64_t index, uint64_t offset) {
+        xml, [&](LabeledTree tree, uint64_t index, uint64_t) {
           doomed.Update(tree);
           if ((index + 1) % kCheckpointEvery == 0) {
-            StreamCheckpoint checkpoint;
-            checkpoint.source = "forest";
-            checkpoint.trees_streamed = index + 1;
-            checkpoint.byte_offset = offset;
-            checkpoint.shard_sketches = {doomed.SerializeToString()};
-            SKETCHTREE_RETURN_NOT_OK(checkpointer->Write(&checkpoint));
+            SKETCHTREE_RETURN_NOT_OK(
+                checkpoints.Persist(doomed, checkpoints.newest_epoch() + 1,
+                                    std::to_string(index + 1)));
           }
           if (index + 1 == 50) {
             return Status::Internal("simulated crash");
@@ -221,21 +228,15 @@ TEST_F(RecoveryTest, ResumedSerialBuildIsBitIdentical) {
     ASSERT_TRUE(aborted.IsInternal());
   }
 
-  // Restart: a new process loads the newest valid checkpoint (tree 40)
-  // and replays the suffix.
-  Result<Checkpointer> checkpointer = Checkpointer::Create(dir_.string());
-  ASSERT_TRUE(checkpointer.ok());
-  Result<StreamCheckpoint> restored = checkpointer->LoadNewestValid();
+  // Restart: a new process loads the newest intact epoch (tree 40) and
+  // replays the suffix.
+  Result<LoadedSynopsis> restored = OpenCheckpoints(dir_).LoadNewest();
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ(restored->trees_streamed, 40u);
-  ASSERT_EQ(restored->shard_sketches.size(), 1u);
-  Result<SketchTree> resumed_result =
-      SketchTree::DeserializeFromString(restored->shard_sketches[0]);
-  ASSERT_TRUE(resumed_result.ok()) << resumed_result.status().ToString();
-  SketchTree resumed = std::move(resumed_result).value();
+  EXPECT_EQ(TreesStreamed(*restored), 40u);
+  SketchTree resumed = std::move(restored->sketch);
 
   ForestStreamOptions stream_options;
-  stream_options.skip_trees = restored->trees_streamed;
+  stream_options.skip_trees = TreesStreamed(*restored);
   ForestStreamStats stats;
   ASSERT_TRUE(StreamXmlForestEx(
                   xml,
@@ -266,8 +267,8 @@ TEST_F(RecoveryTest, ResumedParallelBuildMatchesSerialBitExactly) {
   for (int i = 0; i < 60; ++i) stream.push_back(reference_gen.Next());
   for (const LabeledTree& tree : stream) serial.Update(tree);
 
-  // First incarnation: ingest 30 trees, checkpoint, crash (abandon).
-  std::vector<std::string> shard_snapshot;
+  // First incarnation: ingest 30 trees, checkpoint the merged cut,
+  // crash (abandon).
   {
     Result<ParallelIngester> ingester =
         ParallelIngester::Create(options, {.num_threads = 3});
@@ -275,24 +276,29 @@ TEST_F(RecoveryTest, ResumedParallelBuildMatchesSerialBitExactly) {
     for (int i = 0; i < 30; ++i) {
       ASSERT_TRUE(ingester->Add(stream[i]).ok());
     }
-    Result<std::vector<std::string>> snapshot = ingester->SnapshotShards();
-    ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-    shard_snapshot = std::move(snapshot).value();
-    ASSERT_EQ(shard_snapshot.size(), 3u);
+    Result<SketchTree> cut = ingester->SnapshotShards();
+    ASSERT_TRUE(cut.ok()) << cut.status().ToString();
+    EXPECT_EQ(cut->Stats().trees_processed, 30u);
+    ASSERT_TRUE(OpenCheckpoints(dir_).Persist(*cut, 1, "30").ok());
     // Ingester destroyed without Finish: the crash.
   }
 
-  // Second incarnation: resume the shards, replay the suffix.
+  // Second incarnation: the epoch is the base, fresh shards replay the
+  // suffix, and Finish's merge folds them into it.
+  Result<LoadedSynopsis> restored = OpenCheckpoints(dir_).LoadNewest();
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  ASSERT_EQ(TreesStreamed(*restored), 30u);
   Result<ParallelIngester> resumed =
       ParallelIngester::Create(options, {.num_threads = 3});
   ASSERT_TRUE(resumed.ok());
-  ASSERT_TRUE(resumed->ResumeFrom(shard_snapshot).ok());
   for (int i = 30; i < 60; ++i) {
     ASSERT_TRUE(resumed->Add(stream[i]).ok());
   }
-  Result<SketchTree> combined = resumed->Finish();
-  ASSERT_TRUE(combined.ok()) << combined.status().ToString();
-  EXPECT_EQ(combined->SerializeToString(), serial.SerializeToString());
+  Result<SketchTree> suffix = resumed->Finish();
+  ASSERT_TRUE(suffix.ok()) << suffix.status().ToString();
+  SketchTree combined = std::move(restored->sketch);
+  ASSERT_TRUE(combined.Merge(*suffix).ok());
+  EXPECT_EQ(combined.SerializeToString(), serial.SerializeToString());
 }
 
 TEST_F(RecoveryTest, ResumeIntoDifferentShardCountStaysExact) {
@@ -306,47 +312,42 @@ TEST_F(RecoveryTest, ResumeIntoDifferentShardCountStaysExact) {
   SketchTree serial = *SketchTree::Create(options);
   for (const LabeledTree& tree : stream) serial.Update(tree);
 
-  std::vector<std::string> shard_snapshot;
+  // Parallel (4 shards) -> parallel (2 shards) -> serial: each run
+  // checkpoints one merged cut, and the next resumes it with a
+  // different thread count — exact by linearity.
   {
     Result<ParallelIngester> ingester =
         ParallelIngester::Create(options, {.num_threads = 4});
     ASSERT_TRUE(ingester.ok());
-    for (int i = 0; i < 20; ++i) ASSERT_TRUE(ingester->Add(stream[i]).ok());
-    Result<std::vector<std::string>> snapshot = ingester->SnapshotShards();
-    ASSERT_TRUE(snapshot.ok());
-    shard_snapshot = std::move(snapshot).value();
+    for (int i = 0; i < 15; ++i) ASSERT_TRUE(ingester->Add(stream[i]).ok());
+    Result<SketchTree> cut = ingester->SnapshotShards();
+    ASSERT_TRUE(cut.ok());
+    ASSERT_TRUE(OpenCheckpoints(dir_).Persist(*cut, 1, "15").ok());
+  }
+  {
+    Result<LoadedSynopsis> restored = OpenCheckpoints(dir_).LoadNewest();
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    ASSERT_EQ(TreesStreamed(*restored), 15u);
+    Result<ParallelIngester> ingester =
+        ParallelIngester::Create(options, {.num_threads = 2});
+    ASSERT_TRUE(ingester.ok());
+    for (int i = 15; i < 30; ++i) ASSERT_TRUE(ingester->Add(stream[i]).ok());
+    Result<SketchTree> shards = ingester->SnapshotShards();
+    ASSERT_TRUE(shards.ok());
+    SketchTree cut = std::move(restored->sketch);
+    ASSERT_TRUE(cut.Merge(*shards).ok());
+    SynopsisStore checkpoints = OpenCheckpoints(dir_);
+    ASSERT_TRUE(checkpoints.Persist(cut, 2, "30").ok());
   }
 
-  // Restart with 2 threads instead of 4: the 4 checkpointed shard
-  // deltas fold into shard 0 — still exact by linearity.
-  Result<ParallelIngester> resumed =
-      ParallelIngester::Create(options, {.num_threads = 2});
-  ASSERT_TRUE(resumed.ok());
-  ASSERT_TRUE(resumed->ResumeFrom(shard_snapshot).ok());
-  for (int i = 20; i < 40; ++i) ASSERT_TRUE(resumed->Add(stream[i]).ok());
-  Result<SketchTree> combined = resumed->Finish();
-  ASSERT_TRUE(combined.ok()) << combined.status().ToString();
-  EXPECT_EQ(combined->SerializeToString(), serial.SerializeToString());
-}
-
-TEST_F(RecoveryTest, ResumeFromRejectsMisuse) {
-  SketchTreeOptions options = RecoveryOptions();
-  options.topk_size = 0;
-  Result<ParallelIngester> ingester =
-      ParallelIngester::Create(options, {.num_threads = 2});
-  ASSERT_TRUE(ingester.ok());
-  TreebankGenerator gen;
-  ASSERT_TRUE(ingester->Add(gen.Next()).ok());
-  // After the first Add, resume is no longer sound.
-  SketchTree snapshot = *SketchTree::Create(options);
-  Status late = ingester->ResumeFrom({snapshot.SerializeToString()});
-  EXPECT_TRUE(late.IsInvalidArgument()) << late.ToString();
-  // Corrupt shard bytes are a typed failure, not a crash.
-  Result<ParallelIngester> fresh =
-      ParallelIngester::Create(options, {.num_threads = 2});
-  ASSERT_TRUE(fresh.ok());
-  Status corrupt = fresh->ResumeFrom({"definitely not a sketch"});
-  EXPECT_FALSE(corrupt.ok());
+  // Serial finish: the epoch is the synopsis, updated in place.
+  Result<LoadedSynopsis> restored = OpenCheckpoints(dir_).LoadNewest();
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  ASSERT_EQ(restored->epoch, 2u);
+  ASSERT_EQ(TreesStreamed(*restored), 30u);
+  SketchTree resumed = std::move(restored->sketch);
+  for (int i = 30; i < 40; ++i) resumed.Update(stream[i]);
+  EXPECT_EQ(resumed.SerializeToString(), serial.SerializeToString());
 }
 
 TEST_F(RecoveryTest, IngestAllRetriesTransientReaderErrors) {

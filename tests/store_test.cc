@@ -5,11 +5,13 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "common/atomic_file.h"
 #include "faultinject/fault_injector.h"
+#include "metrics/metrics.h"
 #include "query/pattern_query.h"
 #include "server/plan_store.h"
 #include "server/query_service.h"
@@ -297,11 +299,20 @@ TEST_F(StoreTest, FullRewriteAfterMaxChainPrunesOldEpochs) {
     sketch.Update(*ParseSExpr("A(B,C)"));
     ASSERT_TRUE(store->Persist(sketch, epoch).ok());
   }
-  // 1 full, 2-3 deltas, 4 full again (chain exhausted) pruning 1-3.
-  std::vector<uint64_t> epochs = store->ListEpochs();
-  ASSERT_EQ(epochs.size(), 1u);
-  EXPECT_EQ(epochs[0], 4u);
+  // 1 full, 2-3 deltas, 4 full again (chain exhausted). The superseded
+  // chain 1-3 stays as the fallback; nothing precedes it.
+  EXPECT_EQ(store->ListEpochs(), (std::vector<uint64_t>{1, 2, 3, 4}));
   Result<StoreEpochInfo> info = store->InspectEpoch(4);
+  ASSERT_TRUE(info.ok());
+  EXPECT_FALSE(info->is_delta);
+
+  // 5-6 deltas on 4, 7 full: it supersedes chain 4-6, so chain 1-3 goes.
+  for (uint64_t epoch = 5; epoch <= 7; ++epoch) {
+    sketch.Update(*ParseSExpr("A(B,C)"));
+    ASSERT_TRUE(store->Persist(sketch, epoch).ok());
+  }
+  EXPECT_EQ(store->ListEpochs(), (std::vector<uint64_t>{4, 5, 6, 7}));
+  info = store->InspectEpoch(7);
   ASSERT_TRUE(info.ok());
   EXPECT_FALSE(info->is_delta);
 }
@@ -368,8 +379,207 @@ TEST_F(StoreTest, ReopenedStoreStartsChainFull) {
   Result<StoreEpochInfo> info = reopened->InspectEpoch(3);
   ASSERT_TRUE(info.ok());
   EXPECT_FALSE(info->is_delta);
-  // And the full write pruned the superseded chain.
-  EXPECT_EQ(reopened->ListEpochs(), std::vector<uint64_t>{3});
+  // The full write keeps the superseded chain 1-2 as the fallback.
+  EXPECT_EQ(reopened->ListEpochs(), (std::vector<uint64_t>{1, 2, 3}));
+
+  // A second restart's full write supersedes chain 3 (read back from
+  // the headers on disk), so the oldest chain 1-2 goes.
+  Result<SynopsisStore> again = SynopsisStore::Open(DirString());
+  ASSERT_TRUE(again.ok());
+  sketch.Update(*ParseSExpr("S(NP,VP(V))"));
+  ASSERT_TRUE(again->Persist(sketch, 4).ok());
+  info = again->InspectEpoch(4);
+  ASSERT_TRUE(info.ok());
+  EXPECT_FALSE(info->is_delta);
+  EXPECT_EQ(again->ListEpochs(), (std::vector<uint64_t>{3, 4}));
+}
+
+TEST_F(StoreTest, EmptyStoreLoadsNotFound) {
+  Result<SynopsisStore> store = SynopsisStore::Open(DirString());
+  ASSERT_TRUE(store.ok());
+  EXPECT_EQ(store->newest_epoch(), 0u);
+  Result<LoadedSynopsis> loaded = store->LoadNewest();
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsNotFound()) << loaded.status().ToString();
+}
+
+TEST_F(StoreTest, AllEpochsCorruptIsNotFoundWithTheNewestFailure) {
+  SketchTree sketch = BuildSketch(10, SmallOptions());
+  {
+    Result<SynopsisStore> store = SynopsisStore::Open(DirString());
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE(store->Persist(sketch, 1, "cursor").ok());
+  }
+  std::string path = DirString() + "/" + SynopsisStore::EpochFileName(1);
+  Result<std::string> bytes = ReadFileToString(path);
+  ASSERT_TRUE(bytes.ok());
+  ASSERT_TRUE(WriteFileAtomic(path, bytes->substr(0, kPagedPageSize)).ok());
+
+  // Epochs exist (a resuming build must fail, not start over) but none
+  // validates; the status names the newest failure.
+  Result<SynopsisStore> store = SynopsisStore::Open(DirString());
+  ASSERT_TRUE(store.ok());
+  EXPECT_EQ(store->newest_epoch(), 1u);
+  Result<LoadedSynopsis> loaded = store->LoadNewest();
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsNotFound()) << loaded.status().ToString();
+  EXPECT_NE(loaded.status().ToString().find("epoch 1"), std::string::npos)
+      << loaded.status().ToString();
+}
+
+TEST_F(StoreTest, TornFullRewriteFallsBackToSupersededChain) {
+  SynopsisStoreOptions options;
+  options.delta_max_chain = 1;
+  SketchTree sketch = BuildSketch(10, SmallOptions());
+  Result<SynopsisStore> store = SynopsisStore::Open(DirString(), options);
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE(store->Persist(sketch, 1).ok());  // Full.
+  sketch.Update(*ParseSExpr("A(B,C)"));
+  ASSERT_TRUE(store->Persist(sketch, 2).ok());  // Delta on 1.
+  const std::string epoch2_bytes = sketch.SerializeToString();
+
+  // Epoch 3 is a full rewrite (the chain is exhausted), and it tears.
+  Counter* full_writes = GlobalMetrics().GetCounter("store.persist_full");
+  const uint64_t full_before = full_writes->value();
+  FaultInjector::Global().Arm(FaultSite::kStoreTornPageWrite,
+                              {0, 1, 2 * kPagedPageSize});
+  sketch.Update(*ParseSExpr("X(Y,Z)"));
+  ASSERT_TRUE(store->Persist(sketch, 3).ok());  // Writer believes it.
+  FaultInjector::Global().DisarmAll();
+  EXPECT_EQ(full_writes->value(), full_before + 1);
+  EXPECT_FALSE(store->InspectEpoch(3).ok());
+
+  // The superseded chain 1-2 survived the full write, so the loader
+  // degrades to its newest epoch rather than finding nothing.
+  Result<LoadedSynopsis> loaded = store->LoadNewest();
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->epoch, 2u);
+  EXPECT_EQ(loaded->sketch.SerializeToString(), epoch2_bytes);
+}
+
+TEST_F(StoreTest, OpenSweepsTmpDebris) {
+  fs::create_directories(dir_);
+  const fs::path epoch_debris = dir_ / (SynopsisStore::EpochFileName(4) +
+                                        ".tmp");
+  const fs::path plan_debris = dir_ / "plans.skpc.tmp";
+  std::ofstream(epoch_debris) << "half an epoch";
+  std::ofstream(plan_debris) << "half a plan cache";
+  {
+    SketchTree sketch = BuildSketch(5, SmallOptions());
+    Result<SynopsisStore> store = SynopsisStore::Open(DirString());
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE(store->Persist(sketch, 1).ok());
+  }
+  EXPECT_FALSE(fs::exists(epoch_debris));
+  EXPECT_FALSE(fs::exists(plan_debris));
+
+  // An interrupted write's debris is swept by the next Open, and the
+  // epochs already on disk are untouched.
+  FaultInjector::Global().Arm(FaultSite::kFileTornRename, {0, 1, 0});
+  {
+    SketchTree sketch = BuildSketch(6, SmallOptions());
+    Result<SynopsisStore> store = SynopsisStore::Open(DirString());
+    ASSERT_TRUE(store.ok());
+    EXPECT_TRUE(store->Persist(sketch, 2).IsIOError());
+  }
+  FaultInjector::Global().DisarmAll();
+  const fs::path torn = dir_ / (SynopsisStore::EpochFileName(2) + ".tmp");
+  ASSERT_TRUE(fs::exists(torn));
+  Result<SynopsisStore> reopened = SynopsisStore::Open(DirString());
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_FALSE(fs::exists(torn));
+  EXPECT_EQ(reopened->ListEpochs(), std::vector<uint64_t>{1});
+}
+
+TEST_F(StoreTest, CursorRoundTripsInFullAndDeltaEpochs) {
+  SketchTree sketch = BuildSketch(10, SmallOptions());
+  SynopsisStoreOptions owned;
+  owned.use_mmap = false;
+  for (const SynopsisStoreOptions& load_options :
+       {SynopsisStoreOptions{}, owned}) {
+    fs::remove_all(dir_);
+    Result<SynopsisStore> store = SynopsisStore::Open(DirString());
+    ASSERT_TRUE(store.ok());
+    // Longer than a page, with NULs: the store never interprets it.
+    const std::string full_cursor =
+        std::string("full\0cursor", 11) + std::string(5000, 'x');
+    ASSERT_TRUE(store->Persist(sketch, 1, full_cursor).ok());
+    Result<LoadedSynopsis> loaded =
+        SynopsisStore::Open(DirString(), load_options)->LoadNewest();
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded->cursor, full_cursor);
+    Result<StoreEpochInfo> info = store->InspectEpoch(1);
+    ASSERT_TRUE(info.ok());
+    EXPECT_EQ(info->cursor_bytes, full_cursor.size());
+    EXPECT_TRUE(info->page_verdict.ok());
+
+    sketch.Update(*ParseSExpr("A(B,C)"));
+    ASSERT_TRUE(store->Persist(sketch, 2, "delta cursor").ok());
+    ASSERT_TRUE(store->InspectEpoch(2)->is_delta);
+    loaded = SynopsisStore::Open(DirString(), load_options)->LoadNewest();
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded->epoch, 2u);
+    EXPECT_EQ(loaded->cursor, "delta cursor");
+    EXPECT_EQ(loaded->sketch.SerializeToString(), sketch.SerializeToString());
+
+    // An epoch written without a cursor loads with an empty one.
+    sketch.Update(*ParseSExpr("X(Y,Z)"));
+    ASSERT_TRUE(store->Persist(sketch, 3).ok());
+    loaded = SynopsisStore::Open(DirString(), load_options)->LoadNewest();
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded->epoch, 3u);
+    EXPECT_TRUE(loaded->cursor.empty());
+  }
+}
+
+TEST_F(StoreTest, CursorlessImageIsUnchangedByTheCursorPageKind) {
+  SketchTree sketch = BuildSketch(10, SmallOptions());
+  std::vector<double> plane = PlaneOf(sketch);
+  std::string meta = sketch.SerializeMetaToString();
+  std::string plain =
+      EncodeFullSnapshotImage(meta, plane.data(), plane.size(), 1, 10);
+  std::string with_cursor = EncodeFullSnapshotImage(
+      meta, plane.data(), plane.size(), 1, 10, "cursor");
+  // One cursor page more; everything else is the same layout.
+  EXPECT_EQ(with_cursor.size(), plain.size() + kPagedPageSize);
+  Result<ParsedSnapshot> parsed = ParsePagedSnapshot(plain, PageVerify::kAll);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed->header.cursor_length, 0u);
+  EXPECT_TRUE(parsed->cursor.empty());
+  EXPECT_EQ(parsed->meta, meta);
+}
+
+TEST_F(StoreTest, FlippedCursorByteIsCorruption) {
+  SketchTree sketch = BuildSketch(10, SmallOptions());
+  Result<SynopsisStore> store = SynopsisStore::Open(DirString());
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE(store->Persist(sketch, 1, "cursor of epoch 1").ok());
+  sketch.Update(*ParseSExpr("A(B,C)"));
+  ASSERT_TRUE(store->Persist(sketch, 2, "cursor of epoch 2").ok());
+
+  std::string path = DirString() + "/" + SynopsisStore::EpochFileName(2);
+  Result<std::string> bytes = ReadFileToString(path);
+  ASSERT_TRUE(bytes.ok());
+  size_t at = bytes->find("cursor of epoch 2");
+  ASSERT_NE(at, std::string::npos);
+  std::string damaged = *bytes;
+  damaged[at + 7] ^= 0x01;
+  ASSERT_TRUE(WriteFileAtomic(path, damaged).ok());
+
+  Result<SketchTree> direct = store->MaterializeEpoch(2);
+  ASSERT_FALSE(direct.ok());
+  EXPECT_TRUE(direct.status().IsCorruption()) << direct.status().ToString();
+  EXPECT_NE(direct.status().ToString().find("cursor page 0"),
+            std::string::npos)
+      << direct.status().ToString();
+  Result<StoreEpochInfo> info = store->InspectEpoch(2);
+  EXPECT_TRUE(info.status().IsCorruption()) << info.status().ToString();
+
+  // The loader never hands out a damaged cursor: it degrades to epoch 1.
+  Result<LoadedSynopsis> loaded = store->LoadNewest();
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->epoch, 1u);
+  EXPECT_EQ(loaded->cursor, "cursor of epoch 1");
 }
 
 TEST_F(StoreTest, StandalonePagedFileLoadsBothPaths) {
@@ -560,6 +770,64 @@ TEST_F(StoreTest, PlanCacheRejectsForeignOptionsTag) {
   Result<size_t> missing =
       LoadPlanCache((dir_ / "absent.skpc").string(), options, &fresh);
   EXPECT_TRUE(missing.status().IsNotFound());
+}
+
+TEST_F(StoreTest, PlanCacheRejectsPlansThatDoNotFitTheOptions) {
+  fs::create_directories(dir_);
+  SketchTreeOptions options = SmallOptions();
+  Result<QueryService> service =
+      QueryService::CreateStatic(BuildSketch(5, options));
+  ASSERT_TRUE(service.ok());
+  QueryRequest request;
+  request.kind = QueryKind::kOrdered;
+  request.text = "A(B)";
+  ASSERT_TRUE(service->Execute(request).ok());
+  std::shared_ptr<const CompiledQuery> good =
+      service->plan_cache().Entries().front().second;
+  ASSERT_EQ(good->plan.xi_sums.size(),
+            static_cast<size_t>(options.s1) * options.s2);
+
+  // Each file is CRC-valid — SavePlanCache writes what it is given —
+  // but its one plan would index out of bounds at estimate time.
+  auto save_one = [&](const std::function<void(CompiledQuery*)>& damage) {
+    auto plan = std::make_shared<CompiledQuery>();
+    plan->kind = good->kind;
+    plan->key = good->key;
+    plan->plan = good->plan;
+    damage(plan.get());
+    PlanCache cache(4);
+    cache.Put(plan->key, plan);
+    std::string path = (dir_ / "plans.skpc").string();
+    EXPECT_TRUE(SavePlanCache(cache, options, path).ok());
+    return path;
+  };
+  const std::function<void(CompiledQuery*)> damages[] = {
+      [&](CompiledQuery* plan) {
+        plan->plan.residues.push_back(options.num_virtual_streams);
+      },
+      [](CompiledQuery* plan) { plan->plan.xi_sums.pop_back(); },
+      [](CompiledQuery* plan) {
+        plan->kind = QueryKind::kExpression;
+        ExprTermPlan term;
+        term.values = plan->plan.values;
+        term.xi_prods.assign(3, 1.0);
+        plan->terms.push_back(term);
+      },
+  };
+  for (const auto& damage : damages) {
+    PlanCache fresh(16);
+    Result<size_t> loaded = LoadPlanCache(save_one(damage), options, &fresh);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_TRUE(loaded.status().IsCorruption())
+        << loaded.status().ToString();
+  }
+
+  // The undamaged copy loads.
+  PlanCache fresh(16);
+  Result<size_t> loaded =
+      LoadPlanCache(save_one([](CompiledQuery*) {}), options, &fresh);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(*loaded, 1u);
 }
 
 // ---------------------------------------------------------------------------

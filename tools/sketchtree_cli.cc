@@ -29,8 +29,8 @@
 #include <thread>
 #include <vector>
 
-#include "checkpoint/checkpointer.h"
 #include "common/atomic_file.h"
+#include "common/binary_io.h"
 #include "common/timer.h"
 #include "core/sketch_tree.h"
 #include "faultinject/fault_injector.h"
@@ -157,7 +157,8 @@ int Usage() {
       "  serve --store DIR persists every published epoch into DIR as a\n"
       "  v3 paged snapshot — dirty counter pages only when the delta\n"
       "  chain is at most --delta-max-chain deep (default 8), a full\n"
-      "  rewrite (pruning the superseded chain) otherwise — and saves\n"
+      "  rewrite otherwise, which keeps the chain it supersedes as a\n"
+      "  fallback and prunes anything older — and saves\n"
       "  compiled plans to DIR/plans.skpc every --plan-save-every-ms\n"
       "  (default 2000; 0 disables). serve --store DIR *alone*\n"
       "  warm-restarts: the newest intact epoch is mmap-attached\n"
@@ -200,12 +201,15 @@ int Usage() {
       "  synopsis is bit-identical to a serial build (with --topk 0).\n"
       "  Incompatible with --checkpoint-dir/--resume/--sentinel.\n"
       "\n"
-      "  build checkpointing: with --checkpoint-dir, a durable snapshot\n"
-      "  of the synopsis and stream cursor is written every\n"
-      "  --checkpoint-every trees (default 5000); --resume restarts from\n"
-      "  the newest valid checkpoint after a crash. Malformed stream\n"
-      "  trees are quarantined (counted, sampled into --quarantine PATH,\n"
-      "  default OUTPUT.quarantine) unless --fail-fast.\n"
+      "  build checkpointing: with --checkpoint-dir, every\n"
+      "  --checkpoint-every trees (default 5000) the synopsis (with\n"
+      "  --threads, the base plus every shard at a consistent cut) and\n"
+      "  the stream cursor are persisted together as one synopsis-store\n"
+      "  epoch in DIR; --resume takes the newest intact epoch as the\n"
+      "  synopsis and replays --input past its cursor, whatever\n"
+      "  --threads either run used. Malformed stream trees are\n"
+      "  quarantined (counted, sampled into --quarantine PATH, default\n"
+      "  OUTPUT.quarantine) unless --fail-fast.\n"
       "\n"
       "  any command also accepts --metrics-json PATH to dump the\n"
       "  process metrics registry as JSON on exit, and --faults SPEC (or\n"
@@ -303,6 +307,49 @@ std::vector<std::string> SplitCommaList(const std::string& value) {
   return parts;
 }
 
+/// What a build checkpoint stores beside its synopsis: how far into the
+/// source the committed prefix reaches. Replaying the source past
+/// `trees_streamed` reproduces the uninterrupted run bit-exactly.
+struct BuildCursor {
+  /// The --input the cursor refers to; resume refuses another source.
+  std::string source;
+  /// Stream trees fully ingested at the cut: resume skips this many.
+  uint64_t trees_streamed = 0;
+  /// Byte offset just past the last committed tree (diagnostic).
+  uint64_t byte_offset = 0;
+  /// Malformed trees quarantined before the cut, restored on resume so
+  /// end-of-build accounting spans the whole logical run.
+  uint64_t quarantined_trees = 0;
+
+  std::string Encode() const {
+    BinaryWriter writer;
+    writer.WriteString(source);
+    writer.WriteU64(trees_streamed);
+    writer.WriteU64(byte_offset);
+    writer.WriteU64(quarantined_trees);
+    return writer.Release();
+  }
+
+  static Result<BuildCursor> Decode(std::string_view bytes) {
+    BinaryReader reader(bytes);
+    BuildCursor cursor;
+    Result<std::string> source = reader.ReadString();
+    Result<uint64_t> trees = reader.ReadU64();
+    Result<uint64_t> offset = reader.ReadU64();
+    Result<uint64_t> quarantined = reader.ReadU64();
+    if (!source.ok() || !trees.ok() || !offset.ok() || !quarantined.ok() ||
+        !reader.AtEnd()) {
+      return Status::Corruption("checkpoint epoch carries no valid build "
+                                "cursor (not written by build?)");
+    }
+    cursor.source = std::move(source).value();
+    cursor.trees_streamed = *trees;
+    cursor.byte_offset = *offset;
+    cursor.quarantined_trees = *quarantined;
+    return cursor;
+  }
+};
+
 int RunBuild(const Args& args) {
   std::string input = args.Get("input");
   std::string output = args.Get("output");
@@ -349,48 +396,58 @@ int RunBuild(const Args& args) {
     return kExitUsage;
   }
 
-  std::optional<Checkpointer> checkpointer;
+  // Checkpoints are synopsis-store epochs. Loads materialize into
+  // owned memory: a resumed synopsis keeps ingesting.
+  std::optional<SynopsisStore> checkpoints;
   if (!checkpoint_dir.empty()) {
-    Result<Checkpointer> created = Checkpointer::Create(checkpoint_dir);
-    if (!created.ok()) return Fail(created.status());
-    checkpointer.emplace(std::move(created).value());
+    SynopsisStoreOptions store_options;
+    store_options.use_mmap = false;
+    Result<SynopsisStore> opened =
+        SynopsisStore::Open(checkpoint_dir, store_options);
+    if (!opened.ok()) return Fail(opened.status());
+    checkpoints.emplace(std::move(opened).value());
   }
 
-  // The resume cursor. A missing checkpoint directory entry is not an
-  // error — first run of a crash-restart loop starts from scratch —
-  // but a checkpoint for a different source is: silently mixing
-  // streams would corrupt the synopsis's meaning.
-  std::optional<StreamCheckpoint> restored;
+  // One resume rule for every path: the newest intact epoch replaces
+  // the base synopsis and the source replays past its cursor. An empty
+  // checkpoint directory is not an error — first run of a crash-restart
+  // loop starts from scratch — but a cursor for a different source is:
+  // silently mixing streams would corrupt the synopsis's meaning.
+  BuildCursor restored;
+  std::optional<SketchTree> resumed;
   if (args.HasFlag("resume")) {
-    Result<StreamCheckpoint> loaded = checkpointer->LoadNewestValid();
-    if (loaded.ok()) {
-      restored = std::move(loaded).value();
-      if (restored->source != input) {
-        std::fprintf(stderr,
-                     "error: checkpoint %llu was written for '%s', not "
-                     "'%s'\n",
-                     static_cast<unsigned long long>(restored->sequence),
-                     restored->source.c_str(), input.c_str());
-        return kExitFailure;
-      }
-      std::fprintf(stderr,
-                   "resuming from checkpoint %llu: %llu trees committed, "
-                   "%llu quarantined\n",
-                   static_cast<unsigned long long>(restored->sequence),
-                   static_cast<unsigned long long>(restored->trees_streamed),
-                   static_cast<unsigned long long>(
-                       restored->quarantined_trees));
-    } else if (loaded.status().IsNotFound()) {
+    if (checkpoints->newest_epoch() == 0) {
       std::fprintf(stderr,
                    "note: no checkpoint in %s, starting from the "
                    "beginning\n",
                    checkpoint_dir.c_str());
     } else {
-      return Fail(loaded.status());
+      Result<LoadedSynopsis> loaded = checkpoints->LoadNewest();
+      if (!loaded.ok()) return Fail(loaded.status());
+      Result<BuildCursor> cursor = BuildCursor::Decode(loaded->cursor);
+      if (!cursor.ok()) return Fail(cursor.status());
+      restored = std::move(cursor).value();
+      if (restored.source != input) {
+        std::fprintf(stderr,
+                     "error: checkpoint %llu was written for '%s', not "
+                     "'%s'\n",
+                     static_cast<unsigned long long>(loaded->epoch),
+                     restored.source.c_str(), input.c_str());
+        return kExitFailure;
+      }
+      std::fprintf(stderr,
+                   "resuming from checkpoint %llu: %llu trees committed, "
+                   "%llu quarantined\n",
+                   static_cast<unsigned long long>(loaded->epoch),
+                   static_cast<unsigned long long>(restored.trees_streamed),
+                   static_cast<unsigned long long>(
+                       restored.quarantined_trees));
+      resumed.emplace(std::move(loaded->sketch));
     }
   }
 
   Result<SketchTree> sketch_result = [&]() -> Result<SketchTree> {
+    if (resumed.has_value()) return std::move(*resumed);
     std::string append = args.Get("append");
     if (!append.empty()) return SketchTree::LoadFromFile(append);
     SketchTreeOptions options;
@@ -436,34 +493,31 @@ int RunBuild(const Args& args) {
   ForestStreamOptions stream_options;
   stream_options.fail_fast = args.HasFlag("fail-fast");
   stream_options.quarantine = &quarantine;
-  if (restored.has_value()) {
-    stream_options.skip_trees = restored->trees_streamed;
-    quarantine.set_base_count(restored->quarantined_trees);
-  }
+  stream_options.skip_trees = restored.trees_streamed;
+  quarantine.set_base_count(restored.quarantined_trees);
 
   uint64_t trees = 0;
   uint64_t patterns = 0;
   ForestStreamStats stream_stats;
   ProgressReporter progress;
   // Consumed-tree ordinal (skipped prefix included) at which the next
-  // checkpoint is due; MaybeCheckpoint is called from the stream
-  // callback with the per-path shard snapshotter.
+  // checkpoint is due.
   uint64_t next_checkpoint = stream_options.skip_trees + checkpoint_every;
-  auto maybe_checkpoint =
-      [&](uint64_t tree_index, uint64_t end_byte_offset,
-          auto&& snapshot_shards) -> Status {
-    if (!checkpointer.has_value() || tree_index + 1 < next_checkpoint) {
-      return Status::OK();
-    }
-    SKETCHTREE_ASSIGN_OR_RETURN(std::vector<std::string> shards,
-                                snapshot_shards());
-    StreamCheckpoint checkpoint;
-    checkpoint.source = input;
-    checkpoint.trees_streamed = tree_index + 1;
-    checkpoint.byte_offset = end_byte_offset;
-    checkpoint.quarantined_trees = quarantine.count();
-    checkpoint.shard_sketches = std::move(shards);
-    SKETCHTREE_RETURN_NOT_OK(checkpointer->Write(&checkpoint));
+  auto checkpoint_due = [&](uint64_t tree_index) {
+    return checkpoints.has_value() && tree_index + 1 >= next_checkpoint;
+  };
+  // Commits `synopsis` — everything ingested through `tree_index` — and
+  // the cursor as the next epoch.
+  auto write_checkpoint = [&](uint64_t tree_index, uint64_t end_byte_offset,
+                              const SketchTree& synopsis) -> Status {
+    TRACE_SPAN("checkpoint.write");
+    BuildCursor cursor;
+    cursor.source = input;
+    cursor.trees_streamed = tree_index + 1;
+    cursor.byte_offset = end_byte_offset;
+    cursor.quarantined_trees = quarantine.count();
+    SKETCHTREE_RETURN_NOT_OK(checkpoints->Persist(
+        synopsis, checkpoints->newest_epoch() + 1, cursor.Encode()));
     next_checkpoint = tree_index + 1 + checkpoint_every;
     return Status::OK();
   };
@@ -507,9 +561,8 @@ int RunBuild(const Args& args) {
   } else if (threads > 1) {
     // Sharded ingestion: N worker replicas built from the synopsis's own
     // options consume the stream and are merged into `sketch` at the end
-    // (exact by sketch linearity — works for fresh builds and --append).
-    // Checkpoints hold the shard *deltas*; the base synopsis is
-    // reconstructed from --append / the options on every run.
+    // (exact by sketch linearity — works for fresh builds, --append and
+    // resumes). A checkpoint is the base plus the shards at a cut.
     ParallelIngestOptions ingest_options;
     ingest_options.num_threads = static_cast<int>(threads);
     if (sketch.options().topk_size > 0) {
@@ -524,19 +577,22 @@ int RunBuild(const Args& args) {
     Result<ParallelIngester> ingester =
         ParallelIngester::Create(sketch.options(), ingest_options);
     if (!ingester.ok()) return Fail(ingester.status());
-    if (restored.has_value()) {
-      Status resumed = ingester->ResumeFrom(restored->shard_sketches);
-      if (!resumed.ok()) return Fail(resumed);
-    }
     Status stream_status = StreamXmlForestFileEx(
         input,
         [&](LabeledTree tree, uint64_t tree_index,
             uint64_t end_byte_offset) -> Status {
           ++trees;
           SKETCHTREE_RETURN_NOT_OK(ingester->Add(std::move(tree)));
-          SKETCHTREE_RETURN_NOT_OK(maybe_checkpoint(
-              tree_index, end_byte_offset,
-              [&] { return ingester->SnapshotShards(); }));
+          if (checkpoint_due(tree_index)) {
+            SKETCHTREE_ASSIGN_OR_RETURN(
+                SketchTree cut,
+                SketchTree::DeserializeFromString(sketch.SerializeToString()));
+            SKETCHTREE_ASSIGN_OR_RETURN(SketchTree shards,
+                                        ingester->SnapshotShards());
+            SKETCHTREE_RETURN_NOT_OK(cut.Merge(shards));
+            SKETCHTREE_RETURN_NOT_OK(
+                write_checkpoint(tree_index, end_byte_offset, cut));
+          }
           progress.MaybeReport(trees);
           return Status::OK();
         },
@@ -556,29 +612,6 @@ int RunBuild(const Args& args) {
     Status merge_status = sketch.Merge(*delta);
     if (!merge_status.ok()) return Fail(merge_status);
   } else {
-    // Single-threaded checkpoints snapshot the whole synopsis (base
-    // included) as one shard; resume therefore *replaces* the freshly
-    // built base with the snapshot rather than merging into it.
-    if (restored.has_value()) {
-      if (restored->shard_sketches.empty()) {
-        return Fail(Status::Corruption("checkpoint holds no shard sketch"));
-      }
-      Result<SketchTree> snapshot = SketchTree::DeserializeFromString(
-          restored->shard_sketches[0]);
-      if (!snapshot.ok()) return Fail(snapshot.status());
-      sketch = std::move(snapshot).value();
-      // A parallel run's checkpoint carries one delta per shard; fold
-      // the rest in so a --threads change across restarts stays exact.
-      for (size_t s = 1; s < restored->shard_sketches.size(); ++s) {
-        Result<SketchTree> shard = SketchTree::DeserializeFromString(
-            restored->shard_sketches[s]);
-        if (!shard.ok()) return Fail(shard.status());
-        Status merged = sketch.Merge(*shard);
-        if (!merged.ok()) return Fail(merged);
-      }
-    }
-    // Attach after any resume replacement of `sketch` so the sentinel
-    // rides the synopsis that actually ingests the stream.
     if (sentinel.has_value()) sketch.AttachSentinel(&*sentinel);
     Status stream_status = StreamXmlForestFileEx(
         input,
@@ -586,11 +619,10 @@ int RunBuild(const Args& args) {
             uint64_t end_byte_offset) -> Status {
           patterns += sketch.Update(tree);
           ++trees;
-          SKETCHTREE_RETURN_NOT_OK(maybe_checkpoint(
-              tree_index, end_byte_offset,
-              [&]() -> Result<std::vector<std::string>> {
-                return std::vector<std::string>{sketch.SerializeToString()};
-              }));
+          if (checkpoint_due(tree_index)) {
+            SKETCHTREE_RETURN_NOT_OK(
+                write_checkpoint(tree_index, end_byte_offset, sketch));
+          }
           progress.MaybeReport(trees);
           return Status::OK();
         },
@@ -1143,14 +1175,15 @@ bool ReportEpochInfo(const StoreEpochInfo& info, bool json, bool first) {
         "%s{\"epoch\":%llu,\"file\":\"%s\",\"bytes\":%llu,"
         "\"kind\":\"%s\",\"base_epoch\":%llu,\"chain_depth\":%u,"
         "\"trees\":%llu,\"pages\":%u,\"meta_pages\":%u,"
-        "\"counter_pages\":%u,\"dirty_ratio\":%.4f,\"pages_ok\":%s%s%s%s}",
+        "\"counter_pages\":%u,\"cursor_bytes\":%u,\"dirty_ratio\":%.4f,"
+        "\"pages_ok\":%s%s%s%s}",
         first ? "" : ",", static_cast<unsigned long long>(info.epoch),
         info.path.c_str(), static_cast<unsigned long long>(info.file_bytes),
         info.is_delta ? "delta" : "full",
         static_cast<unsigned long long>(info.base_epoch), info.chain_depth,
         static_cast<unsigned long long>(info.trees_processed),
         info.page_count, info.meta_pages, info.counter_pages,
-        info.dirty_ratio, ok ? "true" : "false",
+        info.cursor_bytes, info.dirty_ratio, ok ? "true" : "false",
         ok ? "" : ",\"verdict\":\"",
         ok ? "" : info.page_verdict.ToString().c_str(), ok ? "" : "\"");
   } else {
@@ -1229,28 +1262,8 @@ int RunInspectPagedFile(const Args& args, const std::string& path) {
   Result<ParsedSnapshot> parsed =
       ParsePagedSnapshot(bytes.value(), PageVerify::kMetaOnly);
   if (!parsed.ok()) return Fail(parsed.status());
-  const PagedHeader& header = parsed.value().header;
-  StoreEpochInfo info;
-  info.epoch = header.epoch;
-  info.path = path;
-  info.file_bytes = bytes.value().size();
-  info.is_delta = header.is_delta();
-  info.base_epoch = header.base_epoch;
-  info.chain_depth = header.chain_depth;
-  info.trees_processed = header.trees_processed;
-  info.page_count = header.page_count;
-  info.counter_pages =
-      static_cast<uint32_t>(parsed.value().counter_pages.size());
-  info.meta_pages = info.page_count - info.counter_pages;
-  info.counter_doubles = header.counter_doubles;
-  uint64_t plane_pages =
-      (header.counter_doubles * sizeof(double) + kPagedPageSize - 1) /
-      kPagedPageSize;
-  info.dirty_ratio = plane_pages == 0
-                         ? 0.0
-                         : static_cast<double>(info.counter_pages) /
-                               static_cast<double>(plane_pages);
-  info.page_verdict = VerifyCounterPages(parsed.value());
+  StoreEpochInfo info =
+      DescribeSnapshot(parsed.value(), path, bytes.value().size());
   bool json = args.HasFlag("json");
   if (json) std::printf("{\"snapshots\":[");
   else std::printf("paged snapshot: %s\n", path.c_str());
