@@ -417,8 +417,7 @@ Result<SketchTree> Coordinator::PullShardSnapshot(ShardState& shard) {
   // First attempt names our cached epoch so the worker can answer with
   // only the dirty pages; a delta that fails to apply (ring aged out
   // mid-flight, damaged pages) drops the cache and re-pulls full once.
-  bool ask_delta = options_.delta_refresh && shard.snap_cache != nullptr &&
-                   shard.snap_cache->epoch != 0;
+  bool ask_delta = shard.snap_cache != nullptr && shard.snap_cache->epoch != 0;
   for (int attempt = 0; attempt < 2; ++attempt) {
     std::string request = "{\"op\":\"shard_snapshot\"";
     if (ask_delta) {
@@ -469,13 +468,11 @@ Result<SketchTree> Coordinator::PullShardSnapshot(ShardState& shard) {
       }
       SKETCHTREE_ASSIGN_OR_RETURN(
           SketchTree full, SketchTree::DeserializeFromString(bytes.value()));
-      if (options_.delta_refresh) {
-        auto cache = std::make_unique<ShardState::SnapCache>();
-        cache->epoch = static_cast<uint64_t>(epoch);
-        cache->plane.resize(full.CounterPlaneDoubles());
-        full.CopyCounterPlane(cache->plane.data());
-        shard.snap_cache = std::move(cache);
-      }
+      auto cache = std::make_unique<ShardState::SnapCache>();
+      cache->epoch = static_cast<uint64_t>(epoch);
+      cache->plane.resize(full.CounterPlaneDoubles());
+      full.CopyCounterPlane(cache->plane.data());
+      shard.snap_cache = std::move(cache);
       return full;
     }();
     if (!sketch.ok()) {

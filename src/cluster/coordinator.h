@@ -70,12 +70,6 @@ struct CoordinatorOptions {
   /// giving up (every shard must answer once to establish the merged
   /// base and the synopsis options).
   int64_t startup_deadline_ms = 10000;
-  /// Refresh pulls send the last fully-materialized epoch per shard, so
-  /// workers that retain that epoch's plane reply with only the dirty
-  /// counter pages (a v3 delta image) instead of the full serialized
-  /// synopsis. Any delta that fails to apply falls back to one full
-  /// pull — correctness never depends on the cache.
-  bool delta_refresh = true;
 };
 
 /// The serving front end of a SketchTree cluster: owns one ShardClient

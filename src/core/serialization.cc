@@ -71,17 +71,45 @@ Result<SketchTreeOptions> ReadOptions(BinaryReader* reader) {
 
 }  // namespace
 
+void SketchTree::SaveBody(BinaryWriter* writer, bool with_counters) const {
+  WriteOptions(options_, writer);
+  writer->WriteU64(trees_processed_);
+  writer->WriteU64(trees_removed_);
+  writer->WriteU64(patterns_removed_);
+  streams_->Save(writer, with_counters);
+  writer->WriteU8(summary_ != nullptr ? 1 : 0);
+  if (summary_ != nullptr) summary_->SaveState(writer);
+}
+
+Status SketchTree::LoadBody(BinaryReader* reader, bool with_counters) {
+  SKETCHTREE_ASSIGN_OR_RETURN(trees_processed_, reader->ReadU64());
+  SKETCHTREE_ASSIGN_OR_RETURN(trees_removed_, reader->ReadU64());
+  SKETCHTREE_ASSIGN_OR_RETURN(patterns_removed_, reader->ReadU64());
+  SKETCHTREE_RETURN_NOT_OK(streams_->Load(reader, with_counters));
+  SKETCHTREE_ASSIGN_OR_RETURN(uint8_t has_summary, reader->ReadU8());
+  if ((has_summary != 0) != (summary_ != nullptr)) {
+    return Status::InvalidArgument(
+        "summary presence flag conflicts with the synopsis options");
+  }
+  if (summary_ != nullptr) {
+    // StructuralSummary::LoadState requires a pristine summary, and a
+    // delta application reloads meta into a synopsis that holds one.
+    StructuralSummary::Options summary_options;
+    summary_options.max_nodes = options_.summary_max_nodes;
+    summary_ = std::make_unique<StructuralSummary>(summary_options);
+    SKETCHTREE_RETURN_NOT_OK(summary_->LoadState(reader));
+  }
+  if (!reader->AtEnd()) {
+    return Status::InvalidArgument("trailing bytes after synopsis state");
+  }
+  return Status::OK();
+}
+
 std::string SketchTree::SerializeToString() const {
   BinaryWriter writer;
   writer.WriteU32(kMagic);
   writer.WriteU32(kVersion);
-  WriteOptions(options_, &writer);
-  writer.WriteU64(trees_processed_);
-  writer.WriteU64(trees_removed_);
-  writer.WriteU64(patterns_removed_);
-  streams_->SaveState(&writer);
-  writer.WriteU8(summary_ != nullptr ? 1 : 0);
-  if (summary_ != nullptr) summary_->SaveState(&writer);
+  SaveBody(&writer, /*with_counters=*/true);
   uint32_t crc = Crc32(writer.buffer());
   writer.WriteU32(crc);
   return writer.Release();
@@ -125,21 +153,7 @@ Result<SketchTree> SketchTree::DeserializeFromString(
   SKETCHTREE_ASSIGN_OR_RETURN(SketchTreeOptions options,
                               ReadOptions(&reader));
   SKETCHTREE_ASSIGN_OR_RETURN(SketchTree sketch, Create(options));
-  SKETCHTREE_ASSIGN_OR_RETURN(sketch.trees_processed_, reader.ReadU64());
-  SKETCHTREE_ASSIGN_OR_RETURN(sketch.trees_removed_, reader.ReadU64());
-  SKETCHTREE_ASSIGN_OR_RETURN(sketch.patterns_removed_, reader.ReadU64());
-  SKETCHTREE_RETURN_NOT_OK(sketch.streams_->LoadState(&reader));
-  SKETCHTREE_ASSIGN_OR_RETURN(uint8_t has_summary, reader.ReadU8());
-  if ((has_summary != 0) != (sketch.summary_ != nullptr)) {
-    return Status::InvalidArgument(
-        "summary presence flag conflicts with the serialized options");
-  }
-  if (sketch.summary_ != nullptr) {
-    SKETCHTREE_RETURN_NOT_OK(sketch.summary_->LoadState(&reader));
-  }
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after synopsis");
-  }
+  SKETCHTREE_RETURN_NOT_OK(sketch.LoadBody(&reader, /*with_counters=*/true));
   return sketch;
 }
 
@@ -147,13 +161,7 @@ std::string SketchTree::SerializeMetaToString() const {
   BinaryWriter writer;
   writer.WriteU32(kMetaMagic);
   writer.WriteU32(kMetaVersion);
-  WriteOptions(options_, &writer);
-  writer.WriteU64(trees_processed_);
-  writer.WriteU64(trees_removed_);
-  writer.WriteU64(patterns_removed_);
-  streams_->SaveMeta(&writer);
-  writer.WriteU8(summary_ != nullptr ? 1 : 0);
-  if (summary_ != nullptr) summary_->SaveState(&writer);
+  SaveBody(&writer, /*with_counters=*/false);
   return writer.Release();
 }
 
@@ -198,21 +206,7 @@ Result<SketchTree> SketchTree::FromMetaAndCounters(std::string_view meta,
   SKETCHTREE_ASSIGN_OR_RETURN(SketchTreeOptions options,
                               ReadMetaEnvelope(&reader));
   SKETCHTREE_ASSIGN_OR_RETURN(SketchTree sketch, Create(options));
-  SKETCHTREE_ASSIGN_OR_RETURN(sketch.trees_processed_, reader.ReadU64());
-  SKETCHTREE_ASSIGN_OR_RETURN(sketch.trees_removed_, reader.ReadU64());
-  SKETCHTREE_ASSIGN_OR_RETURN(sketch.patterns_removed_, reader.ReadU64());
-  SKETCHTREE_RETURN_NOT_OK(sketch.streams_->LoadMeta(&reader));
-  SKETCHTREE_ASSIGN_OR_RETURN(uint8_t has_summary, reader.ReadU8());
-  if ((has_summary != 0) != (sketch.summary_ != nullptr)) {
-    return Status::InvalidArgument(
-        "summary presence flag conflicts with the serialized options");
-  }
-  if (sketch.summary_ != nullptr) {
-    SKETCHTREE_RETURN_NOT_OK(sketch.summary_->LoadState(&reader));
-  }
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after snapshot meta");
-  }
+  SKETCHTREE_RETURN_NOT_OK(sketch.LoadBody(&reader, /*with_counters=*/false));
   if (attach) {
     SKETCHTREE_RETURN_NOT_OK(sketch.streams_->AttachCounterPlane(plane,
                                                                  count));
@@ -231,27 +225,7 @@ Status SketchTree::LoadMetaFromString(std::string_view meta) {
     return Status::InvalidArgument(
         "snapshot meta was written under different synopsis options");
   }
-  SKETCHTREE_ASSIGN_OR_RETURN(trees_processed_, reader.ReadU64());
-  SKETCHTREE_ASSIGN_OR_RETURN(trees_removed_, reader.ReadU64());
-  SKETCHTREE_ASSIGN_OR_RETURN(patterns_removed_, reader.ReadU64());
-  SKETCHTREE_RETURN_NOT_OK(streams_->LoadMeta(&reader));
-  SKETCHTREE_ASSIGN_OR_RETURN(uint8_t has_summary, reader.ReadU8());
-  if ((has_summary != 0) != (summary_ != nullptr)) {
-    return Status::InvalidArgument(
-        "summary presence flag conflicts with the synopsis options");
-  }
-  if (summary_ != nullptr) {
-    // LoadState requires a pristine summary; replace-in-place is the
-    // delta-application path, so rebuild it before loading.
-    StructuralSummary::Options summary_options;
-    summary_options.max_nodes = options_.summary_max_nodes;
-    summary_ = std::make_unique<StructuralSummary>(summary_options);
-    SKETCHTREE_RETURN_NOT_OK(summary_->LoadState(&reader));
-  }
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after snapshot meta");
-  }
-  return Status::OK();
+  return LoadBody(&reader, /*with_counters=*/false);
 }
 
 Status SketchTree::SaveToFile(const std::string& path) const {

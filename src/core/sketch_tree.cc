@@ -46,7 +46,7 @@ IngestMetrics& Metrics() {
 }  // namespace
 
 SketchTree::SketchTree(const SketchTreeOptions& options,
-                       std::unique_ptr<RabinFingerprinter> fingerprinter,
+                       std::shared_ptr<const RabinFingerprinter> fingerprinter,
                        std::unique_ptr<VirtualStreams> streams)
     : options_(options),
       fingerprinter_(std::move(fingerprinter)),
@@ -54,6 +54,17 @@ SketchTree::SketchTree(const SketchTreeOptions& options,
       canonicalizer_(std::make_unique<PatternCanonicalizer>(
           fingerprinter_.get(), hasher_.get())),
       streams_(std::move(streams)) {}
+
+SketchTree::SketchTree(const SketchTree& other)
+    : SketchTree(other.options_, other.fingerprinter_,
+                 std::make_unique<VirtualStreams>(*other.streams_)) {
+  if (other.summary_ != nullptr) {
+    summary_ = std::make_unique<StructuralSummary>(*other.summary_);
+  }
+  trees_processed_ = other.trees_processed_;
+  trees_removed_ = other.trees_removed_;
+  patterns_removed_ = other.patterns_removed_;
+}
 
 Result<SketchTree> SketchTree::Create(const SketchTreeOptions& options) {
   if (options.max_pattern_edges < 1 || options.max_pattern_edges > 64) {
@@ -98,7 +109,7 @@ Result<SketchTree> SketchTree::Create(const SketchTreeOptions& options) {
                               VirtualStreams::Create(vs_options));
 
   SketchTree sketch(
-      options, std::make_unique<RabinFingerprinter>(std::move(fp)),
+      options, std::make_shared<const RabinFingerprinter>(std::move(fp)),
       std::make_unique<VirtualStreams>(std::move(streams)));
   if (options.build_structural_summary) {
     StructuralSummary::Options summary_options;

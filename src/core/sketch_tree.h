@@ -6,6 +6,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/binary_io.h"
 #include "common/status.h"
 #include "core/estimate_plan.h"
 #include "enumtree/pattern.h"
@@ -74,7 +75,9 @@ struct SketchTreeStats {
   /// means more was removed than inserted (see
   /// VirtualStreams::over_deletions).
   uint64_t over_deletions = 0;
-  size_t memory_bytes = 0;          ///< Actual bytes: counters + xi coefficients + top-k.
+  /// Actual bytes: counter planes + the one xi-coefficient matrix all
+  /// virtual streams share + top-k.
+  size_t memory_bytes = 0;
   size_t paper_memory_bytes = 0;    ///< Section 7.5 accounting: counters + seeds + top-k.
   size_t tracked_patterns = 0;      ///< Currently in top-k lists.
 };
@@ -95,15 +98,20 @@ struct SketchTreeStats {
 /// sketches, and fed to top-k tracking. Estimation runs Algorithm 2 with
 /// the Section 5.2 compensation and the Section 5.3 sketch addition.
 ///
-/// Move-only; not thread-safe (one synopsis per stream consumer).
+/// Not thread-safe (one synopsis per stream consumer). Copyable: a copy
+/// — the epoch cut a snapshot publisher or a checkpoint takes — owns the
+/// mutable state (counter planes, top-k trackers, structural summary,
+/// stream counters, label-hash memo) and shares the immutable parts (the
+/// fingerprinter and the xi-coefficient matrix). It serializes to the
+/// same bytes as its source, does not inherit an attached sentinel, and
+/// a copy of a mapped synopsis reads the mapping until its first write.
 class SketchTree {
  public:
   static Result<SketchTree> Create(const SketchTreeOptions& options);
 
   SketchTree(SketchTree&&) = default;
   SketchTree& operator=(SketchTree&&) = default;
-  SketchTree(const SketchTree&) = delete;
-  SketchTree& operator=(const SketchTree&) = delete;
+  SketchTree(const SketchTree& other);
 
   const SketchTreeOptions& options() const { return options_; }
 
@@ -254,8 +262,15 @@ class SketchTree {
 
  private:
   SketchTree(const SketchTreeOptions& options,
-             std::unique_ptr<RabinFingerprinter> fingerprinter,
+             std::shared_ptr<const RabinFingerprinter> fingerprinter,
              std::unique_ptr<VirtualStreams> streams);
+
+  /// The serialized state after the format envelope, shared by the v2
+  /// synopsis (`with_counters`) and the v3 meta blob (without): options,
+  /// stream counters, the streams' state, the structural summary. The
+  /// loader reads what follows the options and expects the input to end.
+  void SaveBody(BinaryWriter* writer, bool with_counters) const;
+  Status LoadBody(BinaryReader* reader, bool with_counters);
 
   /// Validates a query pattern against k and returns its canonical value.
   Result<uint64_t> MapQuery(const LabeledTree& query);
@@ -268,7 +283,7 @@ class SketchTree {
   uint64_t IngestTree(const LabeledTree& tree, double weight);
 
   SketchTreeOptions options_;
-  std::unique_ptr<RabinFingerprinter> fingerprinter_;
+  std::shared_ptr<const RabinFingerprinter> fingerprinter_;
   std::unique_ptr<LabelHasher> hasher_;
   std::unique_ptr<PatternCanonicalizer> canonicalizer_;
   std::unique_ptr<VirtualStreams> streams_;

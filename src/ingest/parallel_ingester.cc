@@ -216,10 +216,7 @@ Result<SketchTree> ParallelIngester::SnapshotShards() {
     }
     if (applied < enqueued) std::this_thread::yield();
   } while (applied < enqueued);
-  SKETCHTREE_ASSIGN_OR_RETURN(
-      SketchTree merged,
-      SketchTree::DeserializeFromString(
-          state_->shards[0]->sketch.SerializeToString()));
+  SketchTree merged = state_->shards[0]->sketch;
   for (size_t t = 1; t < state_->shards.size(); ++t) {
     SKETCHTREE_RETURN_NOT_OK(merged.Merge(state_->shards[t]->sketch));
   }

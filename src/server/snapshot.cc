@@ -1,7 +1,6 @@
 #include "server/snapshot.h"
 
 #include "metrics/metrics.h"
-#include "store/page_format.h"
 #include "trace/trace.h"
 
 namespace sketchtree {
@@ -17,13 +16,7 @@ uint64_t SnapshotPublisher::Publish(SketchTree sketch) {
                                                       std::move(sketch));
     current_ = std::move(snapshot);
     if (retain_epochs_ > 0) {
-      auto retained = std::make_shared<RetainedPlane>();
-      retained->epoch = epoch;
-      retained->plane.resize(current_->sketch.CounterPlaneDoubles());
-      current_->sketch.CopyCounterPlane(retained->plane.data());
-      retained->plane_crc =
-          PlaneCrc(retained->plane.data(), retained->plane.size());
-      retained_.push_back(std::move(retained));
+      retained_.push_back(current_);
       while (retained_.size() > retain_epochs_) retained_.pop_front();
     }
   }
@@ -35,11 +28,8 @@ uint64_t SnapshotPublisher::Publish(SketchTree sketch) {
 }
 
 Result<uint64_t> SnapshotPublisher::PublishCopyOf(const SketchTree& live) {
-  TRACE_SPAN("server.snapshot_serialize");
-  SKETCHTREE_ASSIGN_OR_RETURN(
-      SketchTree copy,
-      SketchTree::DeserializeFromString(live.SerializeToString()));
-  return Publish(std::move(copy));
+  TRACE_SPAN("server.snapshot_copy");
+  return Publish(SketchTree(live));
 }
 
 std::shared_ptr<const SketchSnapshot> SnapshotPublisher::Current() const {
@@ -63,7 +53,7 @@ void SnapshotPublisher::RetainPlanes(size_t epochs) {
   while (retained_.size() > retain_epochs_) retained_.pop_front();
 }
 
-std::shared_ptr<const RetainedPlane> SnapshotPublisher::RetainedFor(
+std::shared_ptr<const SketchSnapshot> SnapshotPublisher::RetainedFor(
     uint64_t epoch) const {
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& retained : retained_) {

@@ -5,7 +5,6 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <vector>
 
 #include "common/status.h"
 #include "common/timer.h"
@@ -34,36 +33,24 @@ struct SketchSnapshot {
         sketch(std::move(sketch_in)) {}
 };
 
-/// One retained counter plane of a recently published epoch — what the
-/// worker diffs against to answer a delta-mode shard_snapshot pull
-/// (the coordinator names its last-seen epoch; the worker replies with
-/// only the pages that changed since). Immutable once retained.
-struct RetainedPlane {
-  uint64_t epoch = 0;
-  /// CRC-32 over the raw plane bytes — the chain stamp the v3 delta
-  /// format uses to refuse application to a stale base.
-  uint32_t plane_crc = 0;
-  std::vector<double> plane;
-};
-
 /// Epoch-published snapshot exchange between one ingest thread and many
 /// query threads. The writer periodically produces an isolated copy of
-/// the live synopsis (via the serialization round trip — the same
-/// consistent-cut the checkpointer uses) and swaps it in; readers grab
-/// the current shared_ptr under a briefly-held mutex and then estimate
-/// lock-free. Staleness is bounded by how often the writer publishes
-/// (the serve command's --publish-every knob).
+/// the live synopsis (a plain SketchTree copy — the same consistent cut
+/// a build checkpoint takes) and swaps it in; readers grab the current
+/// shared_ptr under a briefly-held mutex and then estimate lock-free.
+/// Staleness is bounded by how often the writer publishes (the serve
+/// command's --publish-every knob).
 class SnapshotPublisher {
  public:
   /// Swaps in `sketch` as the new current snapshot and returns its
   /// epoch (monotonically increasing from 1).
   uint64_t Publish(SketchTree sketch);
 
-  /// Serializes `live` and publishes an independent copy, leaving
-  /// `live` untouched — the writer-side helper for a single-threaded
-  /// ingest loop. The round trip is bit-exact (serialization invariant),
-  /// so estimates against the snapshot equal estimates against the live
-  /// synopsis frozen at this instant.
+  /// Publishes an independent copy of `live`, leaving `live` untouched
+  /// — the writer-side helper for a single-threaded ingest loop. The
+  /// copy is exact, so estimates against the snapshot equal estimates
+  /// against the live synopsis frozen at this instant. Never fails; the
+  /// Result is kept for callers that treat publishing as fallible.
   Result<uint64_t> PublishCopyOf(const SketchTree& live);
 
   /// The most recently published snapshot, or nullptr before the first
@@ -80,22 +67,23 @@ class SnapshotPublisher {
   /// survives the restart and clients never see it run backwards.
   void SetNextEpoch(uint64_t next);
 
-  /// Keeps the counter planes of the last `epochs` published snapshots
-  /// (0 disables, the default — retention costs one plane copy per
-  /// publish). Workers enable this to answer delta-mode shard_snapshot
-  /// pulls against any base still in the ring.
+  /// Keeps the last `epochs` published snapshots alive (0 disables, the
+  /// default). Retention copies nothing — a snapshot is immutable, so
+  /// the ring holds references — but each retained epoch keeps its
+  /// synopsis in memory. Workers enable this to answer delta-mode
+  /// shard_snapshot pulls against any base still in the ring.
   void RetainPlanes(size_t epochs);
 
-  /// The retained plane of `epoch`, or nullptr if retention is off or
+  /// The retained snapshot of `epoch`, or nullptr if retention is off or
   /// the epoch has aged out of the ring.
-  std::shared_ptr<const RetainedPlane> RetainedFor(uint64_t epoch) const;
+  std::shared_ptr<const SketchSnapshot> RetainedFor(uint64_t epoch) const;
 
  private:
   mutable std::mutex mu_;
   std::shared_ptr<const SketchSnapshot> current_;
   uint64_t next_epoch_ = 1;
   size_t retain_epochs_ = 0;
-  std::deque<std::shared_ptr<const RetainedPlane>> retained_;
+  std::deque<std::shared_ptr<const SketchSnapshot>> retained_;
 };
 
 }  // namespace sketchtree

@@ -725,23 +725,25 @@ void QueryServer::HandleRequest(const std::shared_ptr<Connection>& conn,
       return;
     }
     // shard_snapshot: the merge-at-publish pull. Delta mode first: when
-    // the coordinator names a base epoch whose plane the publisher
-    // still retains, reply with a v3 counter-diff image — only the
-    // pages dirtied since that epoch cross the wire. Any miss (ring
-    // aged out, retention off, dimension drift) falls through to the
-    // full reply, which the coordinator always accepts.
+    // the coordinator names a base epoch the publisher still retains,
+    // reply with a v3 counter-diff image — only the pages dirtied since
+    // that epoch cross the wire. Any miss (ring aged out, retention
+    // off, dimension drift) falls through to the full reply, which the
+    // coordinator always accepts.
     if (request.base_epoch != 0) {
-      std::shared_ptr<const RetainedPlane> base =
+      std::shared_ptr<const SketchSnapshot> base =
           service_->snapshots().RetainedFor(request.base_epoch);
       size_t doubles = snapshot->sketch.CounterPlaneDoubles();
-      if (base != nullptr && base->plane.size() == doubles) {
+      if (base != nullptr && base->sketch.CounterPlaneDoubles() == doubles) {
         std::vector<double> plane(doubles);
+        std::vector<double> base_plane(doubles);
         snapshot->sketch.CopyCounterPlane(plane.data());
+        base->sketch.CopyCounterPlane(base_plane.data());
         std::string image = EncodeDeltaSnapshotImage(
             snapshot->sketch.SerializeMetaToString(), plane.data(),
-            base->plane.data(), doubles, snapshot->epoch,
-            snapshot->trees_processed, base->epoch, base->plane_crc,
-            /*chain_depth=*/1);
+            base_plane.data(), doubles, snapshot->epoch,
+            snapshot->trees_processed, base->epoch,
+            PlaneCrc(base_plane.data(), doubles), /*chain_depth=*/1);
         GlobalMetrics().GetCounter("server.shard_snapshot_deltas")
             ->Increment();
         SendCounted(conn,

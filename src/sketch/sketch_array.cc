@@ -13,8 +13,8 @@ SketchArray::SketchArray(int s1, int s2, int independence, uint64_t base_seed)
   const size_t n = static_cast<size_t>(s1) * s2;
   counters_.assign(n, 0.0);
   read_ = counters_.data();
-  coeffs_.resize(static_cast<size_t>(independence) * n);
-  scratch_.resize(n);
+  auto coeffs = std::make_shared<std::vector<uint64_t>>(
+      static_cast<size_t>(independence) * n);
   // Instance inst = i * s1 + j draws its coefficients from the same PRNG
   // stream, in the same order, as a standalone KWiseHash seeded with
   // DeriveSeed(base_seed, inst) — so the xi families (and therefore every
@@ -23,28 +23,31 @@ SketchArray::SketchArray(int s1, int s2, int independence, uint64_t base_seed)
   for (size_t inst = 0; inst < n; ++inst) {
     Pcg64 rng(DeriveSeed(base_seed, inst), /*stream=*/0xC0FFEE);
     for (int c = 0; c < independence; ++c) {
-      coeffs_[static_cast<size_t>(c) * n + inst] =
+      (*coeffs)[static_cast<size_t>(c) * n + inst] =
           rng.NextBounded(KWiseHash::kPrime);
     }
   }
+  coeffs_ = std::move(coeffs);
 }
 
 void SketchArray::UpdateBatch(std::span<const uint64_t> values,
                               double weight) {
   constexpr uint64_t kPrime = KWiseHash::kPrime;
   const size_t n = num_instances();
+  const uint64_t* coeffs = coeffs_->data();
   EnsureOwnedCounters();  // Never write through an attached (mapped) plane.
 #ifdef SKETCHTREE_HAVE_AVX2_KERNEL
   // The AVX2 kernel applies exactly the same per-counter add sequence as
   // the scalar loop below (differential-tested), so dispatch never
   // changes a counter bit.
   if (ActiveSketchKernel() == SketchKernel::kAvx2) {
-    sketch_internal::UpdateBatchAvx2(coeffs_.data(), n, independence_,
+    sketch_internal::UpdateBatchAvx2(coeffs, n, independence_,
                                      values.data(), values.size(), weight,
                                      counters_.data());
     return;
   }
 #endif
+  scratch_.resize(n);
   uint64_t* acc = scratch_.data();
   double* counters = counters_.data();
   for (uint64_t v : values) {
@@ -55,11 +58,10 @@ void SketchArray::UpdateBatch(std::span<const uint64_t> values,
     // lockstep: acc starts at c_{k-1} (the first recurrence step from 0
     // lands there), then k-1 rounds of acc = acc * x + c over contiguous
     // coefficient rows.
-    const uint64_t* top =
-        coeffs_.data() + static_cast<size_t>(independence_ - 1) * n;
+    const uint64_t* top = coeffs + static_cast<size_t>(independence_ - 1) * n;
     std::copy(top, top + n, acc);
     for (int c = independence_ - 2; c >= 0; --c) {
-      const uint64_t* row = coeffs_.data() + static_cast<size_t>(c) * n;
+      const uint64_t* row = coeffs + static_cast<size_t>(c) * n;
       for (size_t t = 0; t < n; ++t) {
         uint64_t a = kwise_internal::MulMod(acc[t], x);
         a += row[t];
@@ -82,7 +84,7 @@ int SketchArray::Xi(int i, int j, uint64_t v) const {
   uint64_t acc = 0;
   for (int c = independence_ - 1; c >= 0; --c) {
     acc = kwise_internal::MulMod(acc, x);
-    acc += coeffs_[static_cast<size_t>(c) * n + inst];
+    acc += (*coeffs_)[static_cast<size_t>(c) * n + inst];
     if (acc >= kPrime) acc -= kPrime;
   }
   return (acc & 1) ? +1 : -1;
@@ -95,8 +97,7 @@ double SketchArray::EstimatePoint(uint64_t v) const {
 }
 
 size_t SketchArray::MemoryBytes() const {
-  return counters_.size() * sizeof(double) +
-         coeffs_.size() * sizeof(uint64_t);
+  return counters_.size() * sizeof(double) + CoefficientBytes();
 }
 
 size_t SketchArray::PaperMemoryBytes() const {

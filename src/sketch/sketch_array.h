@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -15,7 +16,10 @@ namespace sketchtree {
 /// (averages are median-selected). Instance (i, j) — i in [0, s2),
 /// j in [0, s1) — has its own seed derived from `base_seed`, so two
 /// SketchArrays built with the same base seed have identical xi families
-/// (the virtual-stream sharing of Section 5.3).
+/// (the virtual-stream sharing of Section 5.3). The coefficients are
+/// immutable once drawn, so copies share one matrix by reference count:
+/// a copy costs one counter plane, not a re-derivation of the xi
+/// families, and every copy of an array has the same xi by construction.
 ///
 /// Storage is structure-of-arrays: one contiguous counter plane holding
 /// every instance's projection X, and one contiguous coefficient matrix
@@ -31,7 +35,9 @@ class SketchArray {
   // Moves keep `read_` valid without fixup: a vector move transfers the
   // heap buffer, so an owned read pointer still points at the (now
   // moved-to) plane, and an external one stays external. Copies must
-  // re-point an owned read pointer at the copied plane.
+  // re-point an owned read pointer at the copied plane; they share the
+  // coefficient matrix and start with no Horner scratch (the scalar
+  // kernel allocates it on first use).
   SketchArray(SketchArray&&) = default;
   SketchArray& operator=(SketchArray&&) = default;
   SketchArray(const SketchArray& other)
@@ -40,7 +46,6 @@ class SketchArray {
         independence_(other.independence_),
         counters_(other.counters_),
         coeffs_(other.coeffs_),
-        scratch_(other.scratch_),
         read_(other.counters_external() ? other.read_ : counters_.data()) {}
   SketchArray& operator=(const SketchArray& other) {
     if (this != &other) *this = SketchArray(other);
@@ -114,8 +119,12 @@ class SketchArray {
 
   /// Actual memory footprint: counter plane plus the materialized
   /// coefficient matrix (`independence` 64-bit coefficients per
-  /// instance), in bytes.
+  /// instance), in bytes. The matrix is shared by every copy of this
+  /// array, so a holder of several copies counts CoefficientBytes once.
   size_t MemoryBytes() const;
+  size_t CoefficientBytes() const {
+    return coeffs_->size() * sizeof(uint64_t);
+  }
 
   /// The paper's Section 7.5 accounting — one counter plus one 64-bit
   /// seed per instance, treating xi variables as recomputed-not-stored.
@@ -132,9 +141,10 @@ class SketchArray {
   int s2_;
   int independence_;
   std::vector<double> counters_;  // Row-major counter plane: [i * s1 + j].
-  /// Coefficient-major xi coefficients: coeffs_[c * n + inst] is
+  /// Coefficient-major xi coefficients: (*coeffs_)[c * n + inst] is
   /// instance inst's degree-c coefficient (n = s1 * s2 instances).
-  std::vector<uint64_t> coeffs_;
+  /// Immutable, shared by every copy of the array.
+  std::shared_ptr<const std::vector<uint64_t>> coeffs_;
   std::vector<uint64_t> scratch_;  // Horner accumulators, one per instance.
   /// Where value() reads from: counters_.data() (owned) or an attached
   /// external plane (a mapped snapshot's counter block).

@@ -1,6 +1,5 @@
 #include "stream/virtual_streams.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -65,18 +64,30 @@ Result<VirtualStreams> VirtualStreams::Create(
 
 VirtualStreams::VirtualStreams(const VirtualStreamsOptions& options)
     : options_(options), sampling_rng_(options.seed, /*stream=*/0x70b5) {
-  arrays_.reserve(options_.num_streams);
-  for (uint32_t r = 0; r < options_.num_streams; ++r) {
-    // Identical base seed across streams: shared xi variables
-    // (Section 5.3), enabling sketch addition across streams.
-    arrays_.emplace_back(options_.s1, options_.s2, options_.independence,
-                         options_.seed);
-  }
+  // One array, copied p times: every stream shares its coefficient
+  // matrix, so instance (i, j) has identical xi variables in every
+  // stream (Section 5.3) by construction, enabling sketch addition
+  // across streams.
+  arrays_.assign(options_.num_streams,
+                 SketchArray(options_.s1, options_.s2, options_.independence,
+                             options_.seed));
   if (options_.topk_capacity > 0) {
     trackers_.reserve(options_.num_streams);
     for (uint32_t r = 0; r < options_.num_streams; ++r) {
       trackers_.emplace_back(options_.topk_capacity, &arrays_[r]);
     }
+  }
+}
+
+VirtualStreams::VirtualStreams(const VirtualStreams& other)
+    : options_(other.options_),
+      arrays_(other.arrays_),
+      sampling_rng_(other.sampling_rng_),
+      values_inserted_(other.values_inserted_),
+      over_deletions_(other.over_deletions_) {
+  trackers_.reserve(other.trackers_.size());
+  for (size_t r = 0; r < other.trackers_.size(); ++r) {
+    trackers_.emplace_back(other.trackers_[r], &arrays_[r]);
   }
 }
 
@@ -179,8 +190,10 @@ Status VirtualStreams::MergeFrom(const VirtualStreams& other) {
     // Re-add the other side's tracked (deleted) mass so the merged
     // counters reflect its full sub-stream; only this tracker's
     // deletions remain outstanding, preserving the delete condition.
+    // Ascending value order, so the merged counters depend only on what
+    // the other side tracks, not on how its hash map was filled.
     if (!other.trackers_.empty()) {
-      for (const auto& [value, freq] : other.trackers_[r].tracked()) {
+      for (const auto& [value, freq] : other.trackers_[r].SortedTracked()) {
         arrays_[r].Update(value, +freq);
       }
     }
@@ -190,32 +203,25 @@ Status VirtualStreams::MergeFrom(const VirtualStreams& other) {
   return Status::OK();
 }
 
-void VirtualStreams::SaveState(BinaryWriter* writer) const {
+void VirtualStreams::Save(BinaryWriter* writer, bool with_counters) const {
   writer->WriteU64(values_inserted_);
   writer->WriteU32(options_.num_streams);
   writer->WriteU32(static_cast<uint32_t>(options_.s1));
   writer->WriteU32(static_cast<uint32_t>(options_.s2));
-  for (const SketchArray& array : arrays_) {
-    for (int i = 0; i < options_.s2; ++i) {
-      for (int j = 0; j < options_.s1; ++j) {
-        writer->WriteDouble(array.value(i, j));
+  if (with_counters) {
+    for (const SketchArray& array : arrays_) {
+      for (int i = 0; i < options_.s2; ++i) {
+        for (int j = 0; j < options_.s1; ++j) {
+          writer->WriteDouble(array.value(i, j));
+        }
       }
     }
   }
-  SaveTrackers(writer);
-}
-
-void VirtualStreams::SaveTrackers(BinaryWriter* writer) const {
   writer->WriteU32(static_cast<uint32_t>(trackers_.size()));
   for (const TopKTracker& tracker : trackers_) {
-    // Canonical order: the tracker's hash-map iteration order depends
-    // on its insertion history, which differs between an uninterrupted
-    // run and a checkpoint round trip. Sorting by fingerprint makes the
-    // serialized bytes a pure function of the tracked *contents*, so
-    // resumed builds stay bit-identical.
-    std::vector<std::pair<uint64_t, double>> entries(
-        tracker.tracked().begin(), tracker.tracked().end());
-    std::sort(entries.begin(), entries.end());
+    // Canonical order, so the serialized bytes are a pure function of
+    // the tracked contents and resumed builds stay bit-identical.
+    std::vector<std::pair<uint64_t, double>> entries = tracker.SortedTracked();
     writer->WriteU64(entries.size());
     for (const auto& [value, freq] : entries) {
       writer->WriteU64(value);
@@ -224,7 +230,7 @@ void VirtualStreams::SaveTrackers(BinaryWriter* writer) const {
   }
 }
 
-Status VirtualStreams::LoadState(BinaryReader* reader) {
+Status VirtualStreams::Load(BinaryReader* reader, bool with_counters) {
   SKETCHTREE_ASSIGN_OR_RETURN(values_inserted_, reader->ReadU64());
   SKETCHTREE_ASSIGN_OR_RETURN(uint32_t num_streams, reader->ReadU32());
   SKETCHTREE_ASSIGN_OR_RETURN(uint32_t s1, reader->ReadU32());
@@ -235,18 +241,16 @@ Status VirtualStreams::LoadState(BinaryReader* reader) {
     return Status::InvalidArgument(
         "serialized synopsis dimensions do not match the options");
   }
-  for (SketchArray& array : arrays_) {
-    for (int i = 0; i < options_.s2; ++i) {
-      for (int j = 0; j < options_.s1; ++j) {
-        SKETCHTREE_ASSIGN_OR_RETURN(double x, reader->ReadDouble());
-        array.set_value(i, j, x);
+  if (with_counters) {
+    for (SketchArray& array : arrays_) {
+      for (int i = 0; i < options_.s2; ++i) {
+        for (int j = 0; j < options_.s1; ++j) {
+          SKETCHTREE_ASSIGN_OR_RETURN(double x, reader->ReadDouble());
+          array.set_value(i, j, x);
+        }
       }
     }
   }
-  return LoadTrackers(reader);
-}
-
-Status VirtualStreams::LoadTrackers(BinaryReader* reader) {
   SKETCHTREE_ASSIGN_OR_RETURN(uint32_t num_trackers, reader->ReadU32());
   if (num_trackers != trackers_.size()) {
     return Status::InvalidArgument(
@@ -262,28 +266,6 @@ Status VirtualStreams::LoadTrackers(BinaryReader* reader) {
     }
   }
   return Status::OK();
-}
-
-void VirtualStreams::SaveMeta(BinaryWriter* writer) const {
-  writer->WriteU64(values_inserted_);
-  writer->WriteU32(options_.num_streams);
-  writer->WriteU32(static_cast<uint32_t>(options_.s1));
-  writer->WriteU32(static_cast<uint32_t>(options_.s2));
-  SaveTrackers(writer);
-}
-
-Status VirtualStreams::LoadMeta(BinaryReader* reader) {
-  SKETCHTREE_ASSIGN_OR_RETURN(values_inserted_, reader->ReadU64());
-  SKETCHTREE_ASSIGN_OR_RETURN(uint32_t num_streams, reader->ReadU32());
-  SKETCHTREE_ASSIGN_OR_RETURN(uint32_t s1, reader->ReadU32());
-  SKETCHTREE_ASSIGN_OR_RETURN(uint32_t s2, reader->ReadU32());
-  if (num_streams != options_.num_streams ||
-      s1 != static_cast<uint32_t>(options_.s1) ||
-      s2 != static_cast<uint32_t>(options_.s2)) {
-    return Status::InvalidArgument(
-        "serialized synopsis dimensions do not match the options");
-  }
-  return LoadTrackers(reader);
 }
 
 size_t VirtualStreams::CounterPlaneDoubles() const {
@@ -334,8 +316,12 @@ Status VirtualStreams::AttachCounterPlane(const double* data, size_t count) {
 }
 
 size_t VirtualStreams::MemoryBytes() const {
-  size_t bytes = 0;
-  for (const SketchArray& array : arrays_) bytes += array.MemoryBytes();
+  // Every stream's counter plane, plus the one coefficient matrix the
+  // streams share.
+  size_t bytes = arrays_.front().CoefficientBytes();
+  for (const SketchArray& array : arrays_) {
+    bytes += array.counter_count() * sizeof(double);
+  }
   for (const TopKTracker& tracker : trackers_) bytes += tracker.MemoryBytes();
   return bytes;
 }

@@ -35,14 +35,21 @@ struct VirtualStreamsOptions {
 
 /// Splits the 1-D value stream into p disjoint virtual streams by residue
 /// (Section 5.3) and maintains one s1 × s2 AMS sketch array — plus,
-/// optionally, one top-k tracker — per stream. All arrays share the same
-/// base seed, so instance (i, j) has identical xi variables in every
-/// stream and X_{i union j} is simply the elementwise sum of sketches:
-/// the property the estimator (core/estimate_plan.h) relies on when a
-/// query touches several streams.
+/// optionally, one top-k tracker — per stream. All arrays share one
+/// xi-coefficient matrix, so instance (i, j) has identical xi variables
+/// in every stream and X_{i union j} is simply the elementwise sum of
+/// sketches: the property the estimator (core/estimate_plan.h) relies on
+/// when a query touches several streams.
+///
+/// Copyable: a copy owns its counter planes and trackers (each tracker
+/// bound to the copy's own array) and shares the coefficient matrix.
 class VirtualStreams {
  public:
   static Result<VirtualStreams> Create(const VirtualStreamsOptions& options);
+
+  VirtualStreams(const VirtualStreams& other);
+  VirtualStreams(VirtualStreams&&) = default;
+  VirtualStreams& operator=(VirtualStreams&&) = default;
 
   const VirtualStreamsOptions& options() const { return options_; }
   int s1() const { return options_.s1; }
@@ -98,8 +105,8 @@ class VirtualStreams {
   /// stream length at zero.
   uint64_t over_deletions() const { return over_deletions_; }
 
-  /// Actual bytes held by the synopsis: counter planes, coefficient
-  /// matrices, and top-k structures.
+  /// Actual bytes held by the synopsis: counter planes, the shared
+  /// coefficient matrix (counted once), and top-k structures.
   size_t MemoryBytes() const;
 
   /// Section 7.5's accounting — counters + per-instance seeds + top-k —
@@ -114,27 +121,20 @@ class VirtualStreams {
   /// afterwards. Enables parallel/distributed stream ingestion.
   Status MergeFrom(const VirtualStreams& other);
 
-  /// Serializes the mutable state (counters, top-k entries, stream
-  /// length). The xi families and sampling RNG are rebuilt from the
-  /// options on load, so only counters and tracked values are written.
-  void SaveState(BinaryWriter* writer) const;
+  /// Serializes the mutable state: stream length, dimensions, the
+  /// counter planes (only `with_counters`) and the top-k entries in
+  /// canonical order. The xi families and sampling RNG are rebuilt from
+  /// the options on load. The v2 synopsis format writes the counters
+  /// inline; the paged store (src/store/) pages them out separately as
+  /// page-aligned blocks, so its "meta" blob is the state without them.
+  void Save(BinaryWriter* writer, bool with_counters) const;
 
-  /// Restores state written by SaveState into a VirtualStreams created
-  /// with the *same options*. Fails on dimension mismatches or
-  /// truncation.
-  Status LoadState(BinaryReader* reader);
-
-  /// SaveState minus the counter planes: stream length, dimensions, and
-  /// top-k entries. The paged snapshot store (src/store/) serializes
-  /// counters separately as page-aligned blocks, so the residual "meta"
-  /// state gets its own (small) encoding.
-  void SaveMeta(BinaryWriter* writer) const;
-
-  /// Restores SaveMeta state; the counter planes are left untouched
-  /// (the store loads or attaches them afterwards). Safe to call on a
-  /// synopsis that already holds state: top-k trackers are cleared and
-  /// rebuilt from the serialized entries.
-  Status LoadMeta(BinaryReader* reader);
+  /// Restores Save state into a VirtualStreams created with the *same
+  /// options*; without counters the planes are left untouched (the store
+  /// loads or attaches them afterwards). Safe on a synopsis that already
+  /// holds state: trackers are cleared and rebuilt from the entries.
+  /// Fails on dimension mismatches or truncation.
+  Status Load(BinaryReader* reader, bool with_counters);
 
   /// Doubles in the full counter plane: num_streams * s1 * s2. The
   /// global plane is the concatenation of every stream's row-major
@@ -157,12 +157,6 @@ class VirtualStreams {
 
  private:
   VirtualStreams(const VirtualStreamsOptions& options);
-
-  /// Shared tail of SaveState/SaveMeta (LoadState/LoadMeta): the top-k
-  /// tracker entries in canonical order. Both formats keep identical
-  /// tracker bytes, so the v2 and v3 loaders share one decoder.
-  void SaveTrackers(BinaryWriter* writer) const;
-  Status LoadTrackers(BinaryReader* reader);
 
   /// Applies `count` values of the given weight to the stream-length
   /// accounting. Exact for the ±1 turnstile weights; fractional weights

@@ -1,5 +1,7 @@
 #include "topk/topk_tracker.h"
 
+#include <algorithm>
+
 #include "metrics/metrics.h"
 
 namespace sketchtree {
@@ -70,6 +72,13 @@ Status TopKTracker::RestoreTracked(uint64_t v, double freq) {
   }
   heap_.emplace(freq, v);
   return Status::OK();
+}
+
+std::vector<std::pair<uint64_t, double>> TopKTracker::SortedTracked() const {
+  std::vector<std::pair<uint64_t, double>> entries(frequencies_.begin(),
+                                                   frequencies_.end());
+  std::sort(entries.begin(), entries.end());
+  return entries;
 }
 
 size_t TopKTracker::MemoryBytes() const {

@@ -6,6 +6,7 @@
 #include <set>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "sketch/sketch_array.h"
 
@@ -28,6 +29,19 @@ class TopKTracker {
   /// size parameter.
   TopKTracker(size_t capacity, SketchArray* array)
       : capacity_(capacity), array_(array) {}
+
+  /// Copies `other`'s tracked entries into a tracker over `array` — the
+  /// copy of the array `other` tracks. There is no plain copy: a copied
+  /// tracker would keep deleting from the source's sketches.
+  TopKTracker(const TopKTracker& other, SketchArray* array)
+      : capacity_(other.capacity_),
+        array_(array),
+        frequencies_(other.frequencies_),
+        heap_(other.heap_) {}
+  TopKTracker(const TopKTracker&) = delete;
+  TopKTracker& operator=(const TopKTracker&) = delete;
+  TopKTracker(TopKTracker&&) = default;
+  TopKTracker& operator=(TopKTracker&&) = default;
 
   /// Algorithm 4: called with a value after the sketches were updated
   /// with it. May re-estimate, evict, and delete instances from the
@@ -53,6 +67,13 @@ class TopKTracker {
   const std::unordered_map<uint64_t, double>& tracked() const {
     return frequencies_;
   }
+
+  /// The tracked entries in ascending value order. The hash map's
+  /// iteration order depends on its insertion history, so anything whose
+  /// result depends on entry order (serialized bytes, the floating-point
+  /// sums of a merge) walks this instead: it is a pure function of the
+  /// tracked contents.
+  std::vector<std::pair<uint64_t, double>> SortedTracked() const;
 
   /// Bytes for the heap H and the list/map L (paper's memory accounting).
   size_t MemoryBytes() const;

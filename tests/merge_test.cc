@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/sketch_tree.h"
+#include "datagen/dblp_gen.h"
 #include "datagen/treebank_gen.h"
 #include "tree/tree_serialization.h"
 
@@ -131,6 +132,47 @@ TEST(MergeTest, MismatchRejectionMatrix) {
   // Control: an exact copy of the options still merges fine.
   SketchTree same = *SketchTree::Create(base);
   EXPECT_TRUE(reference.Merge(same).ok());
+}
+
+std::vector<double> PlaneOf(const SketchTree& sketch) {
+  std::vector<double> plane(sketch.CounterPlaneDoubles());
+  sketch.CopyCounterPlane(plane.data());
+  return plane;
+}
+
+TEST(MergeTest, TopKMergeDependsOnlyOnTheOtherSidesContents) {
+  // Merging re-adds the other side's tracked mass. A live tracker and
+  // its serialized round trip hold the same entries but fill their hash
+  // maps in different orders; the merged counters must not depend on
+  // which of the two is merged in.
+  SketchTreeOptions options = MergeOptions(/*topk=*/20);
+  SketchTree shard_a = *SketchTree::Create(options);
+  SketchTree shard_b = *SketchTree::Create(options);
+  DblpGenOptions gen_a;
+  gen_a.seed = 7;
+  DblpGenOptions gen_b;
+  gen_b.seed = 9;
+  DblpGenerator source_a(gen_a);
+  DblpGenerator source_b(gen_b);
+  for (int i = 0; i < 150; ++i) {
+    shard_a.Update(source_a.Next());
+    shard_b.Update(source_b.Next());
+  }
+  SketchTree restored_b =
+      *SketchTree::DeserializeFromString(shard_b.SerializeToString());
+
+  SketchTree merged_live =
+      *SketchTree::DeserializeFromString(shard_a.SerializeToString());
+  SketchTree merged_restored =
+      *SketchTree::DeserializeFromString(shard_a.SerializeToString());
+  ASSERT_TRUE(merged_live.Merge(shard_b).ok());
+  ASSERT_TRUE(merged_restored.Merge(restored_b).ok());
+  std::vector<double> live = PlaneOf(merged_live);
+  std::vector<double> restored = PlaneOf(merged_restored);
+  size_t differing = 0;
+  for (size_t i = 0; i < live.size(); ++i) differing += live[i] != restored[i];
+  EXPECT_EQ(live, restored) << differing << " of " << live.size()
+                            << " counters differ";
 }
 
 TEST(MergeTest, MergeOfSerializedShards) {

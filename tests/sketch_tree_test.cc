@@ -6,6 +6,7 @@
 
 #include "exact/exact_counter.h"
 #include "query/pattern_query.h"
+#include "stats/sentinel.h"
 #include "tree/tree_serialization.h"
 
 namespace sketchtree {
@@ -246,6 +247,32 @@ TEST(SketchTreeTest, StatsReportTrackedPatterns) {
   SketchTree st = *SketchTree::Create(options);
   for (int i = 0; i < 50; ++i) st.Update(*ParseSExpr("A(B)"));
   EXPECT_GT(st.Stats().tracked_patterns, 0u);
+}
+
+TEST(SketchTreeTest, CopySerializesLikeItsSourceAndStaysIndependent) {
+  SketchTreeOptions options = GenerousOptions();
+  options.topk_size = 4;
+  options.build_structural_summary = true;
+  const char* docs[] = {"A(B,C)", "A(B(D),C)", "X(Y,Z)", "A(B)", "A(B)"};
+  SketchTree source = *SketchTree::Create(options);
+  AccuracySentinel sentinel{SentinelOptions{}};
+  source.AttachSentinel(&sentinel);
+  for (int i = 0; i < 40; ++i) source.Update(*ParseSExpr(docs[i % 5]));
+  ASSERT_GT(source.Stats().tracked_patterns, 0u);
+
+  SketchTree copy = source;
+  const std::string bytes = source.SerializeToString();
+  EXPECT_EQ(copy.SerializeToString(), bytes);
+  EXPECT_EQ(copy.sentinel(), nullptr);
+
+  // Updates to the source leave the copy's bytes alone.
+  for (int i = 0; i < 20; ++i) source.Update(*ParseSExpr(docs[i % 5]));
+  EXPECT_EQ(copy.SerializeToString(), bytes);
+
+  // The same updates applied to the copy catch it up exactly: its top-k
+  // trackers delete from its own sketches, not the source's.
+  for (int i = 0; i < 20; ++i) copy.Update(*ParseSExpr(docs[i % 5]));
+  EXPECT_EQ(copy.SerializeToString(), source.SerializeToString());
 }
 
 }  // namespace

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/atomic_file.h"
@@ -248,6 +250,49 @@ TEST_F(StoreTest, MmapAndMaterializedLoadsAreBitIdentical) {
     EXPECT_EQ(owned_probe[i], live_probe[i]) << "query " << i;
   }
   EXPECT_EQ(mapped->sketch.Stats().trees_processed, 25u);
+}
+
+TEST_F(StoreTest, WritingToACopyOfAMappedSynopsisLeavesTheMappingAlone) {
+  SketchTree sketch = BuildSketch(25, SmallOptions());
+  {
+    Result<SynopsisStore> store = SynopsisStore::Open(DirString());
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE(store->Persist(sketch, 1).ok());
+  }
+  const std::string path =
+      DirString() + "/" + SynopsisStore::EpochFileName(1);
+  Result<std::string> file_before = ReadFileToString(path);
+  ASSERT_TRUE(file_before.ok());
+
+  SynopsisStoreOptions mapped_options;
+  mapped_options.use_mmap = true;
+  Result<SynopsisStore> store = SynopsisStore::Open(DirString(),
+                                                    mapped_options);
+  ASSERT_TRUE(store.ok());
+  Result<LoadedSynopsis> mapped = store->LoadNewest();
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  ASSERT_TRUE(mapped->mapped);
+  const std::vector<double> mapped_plane = PlaneOf(mapped->sketch);
+
+  // The copy reads the mapping until its first write, then copies.
+  SketchTree copy = mapped->sketch;
+  EXPECT_EQ(copy.streams().array(0).counter_data(),
+            mapped->sketch.streams().array(0).counter_data());
+  const char* docs[] = {"A(B,C)", "X(Y,Z)", "S(NP,VP(V))"};
+  for (const char* doc : docs) {
+    copy.Update(*ParseSExpr(doc));
+    sketch.Update(*ParseSExpr(doc));
+  }
+  EXPECT_EQ(copy.SerializeToString(), sketch.SerializeToString());
+  EXPECT_NE(PlaneOf(copy), mapped_plane);
+
+  EXPECT_EQ(PlaneOf(mapped->sketch), mapped_plane);
+  for (uint32_t r = 0; r < SmallOptions().num_virtual_streams; ++r) {
+    EXPECT_TRUE(mapped->sketch.streams().array(r).counters_external()) << r;
+  }
+  Result<std::string> file_after = ReadFileToString(path);
+  ASSERT_TRUE(file_after.ok());
+  EXPECT_TRUE(*file_after == *file_before);
 }
 
 TEST_F(StoreTest, DeltaChainMaterializesByteIdenticalToFull) {
@@ -842,18 +887,82 @@ TEST_F(StoreTest, PublisherRetainsRecentPlanesOnly) {
     ASSERT_TRUE(publisher.PublishCopyOf(sketch).ok());
   }
   EXPECT_EQ(publisher.RetainedFor(1), nullptr);  // Aged out of the ring.
-  std::shared_ptr<const RetainedPlane> second = publisher.RetainedFor(2);
-  std::shared_ptr<const RetainedPlane> third = publisher.RetainedFor(3);
+  std::shared_ptr<const SketchSnapshot> second = publisher.RetainedFor(2);
+  std::shared_ptr<const SketchSnapshot> third = publisher.RetainedFor(3);
   ASSERT_NE(second, nullptr);
   ASSERT_NE(third, nullptr);
   EXPECT_EQ(third->epoch, 3u);
-  EXPECT_EQ(third->plane_crc,
-            PlaneCrc(third->plane.data(), third->plane.size()));
+  // Retention holds the published snapshot itself; it copies nothing.
+  EXPECT_EQ(third, publisher.Current());
+  std::vector<double> retained = PlaneOf(third->sketch);
   std::vector<double> live = PlaneOf(sketch);
-  ASSERT_EQ(third->plane.size(), live.size());
-  EXPECT_EQ(std::memcmp(third->plane.data(), live.data(),
+  ASSERT_EQ(retained.size(), live.size());
+  EXPECT_EQ(std::memcmp(retained.data(), live.data(),
                         live.size() * sizeof(double)),
             0);
+}
+
+/// One writer publishes copies of a live top-k synopsis while readers
+/// estimate against Current() and read retained snapshots. The copies
+/// share the live synopsis's coefficient matrix and fingerprinter, and
+/// the retention ring is read under the publisher's lock; under TSan this
+/// is the race check for both.
+TEST(SnapshotPublisherTest, ConcurrentCopiesRetainedReadsAndEstimates) {
+  SketchTreeOptions options = SmallOptions();
+  options.topk_size = 4;
+  options.build_structural_summary = true;
+  constexpr int kTreesPerEpoch = 3;
+  SnapshotPublisher publisher;
+  publisher.RetainPlanes(3);
+  SketchTree live = *SketchTree::Create(options);
+  ASSERT_TRUE(publisher.PublishCopyOf(live).ok());  // Epoch 1, no trees.
+  Result<QueryService> service =
+      QueryService::Create(live.options(), {}, &publisher);
+  ASSERT_TRUE(service.ok());
+
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::thread writer([&] {
+    const char* docs[] = {"A(B,C)", "A(C,B)", "X(Y,Z)", "S(NP,VP(V))"};
+    for (int round = 0; round < 30; ++round) {
+      for (int i = 0; i < kTreesPerEpoch; ++i) {
+        live.Update(*ParseSExpr(docs[(round + i) % 4]));
+      }
+      if (!publisher.PublishCopyOf(live).ok()) ++failures;
+    }
+    done.store(true);
+  });
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&] {
+      uint64_t asked = 0;
+      while (!done.load() || asked < 20) {
+        ++asked;
+        QueryRequest request;
+        request.kind = QueryKind::kOrdered;
+        request.text = "A(B,C)";
+        if (!service->Execute(request).ok()) ++failures;
+        uint64_t epoch = publisher.current_epoch();
+        std::shared_ptr<const SketchSnapshot> base =
+            publisher.RetainedFor(epoch > 1 ? epoch - 1 : epoch);
+        if (base == nullptr) continue;  // Aged out since the read.
+        if (base->trees_processed != kTreesPerEpoch * (base->epoch - 1)) {
+          ++failures;
+        }
+        std::vector<double> plane = PlaneOf(base->sketch);
+        if (plane.size() != base->sketch.CounterPlaneDoubles()) ++failures;
+        if (!(base->sketch.EstimateSelfJoinSize() >= 0.0)) ++failures;
+      }
+    });
+  }
+  writer.join();
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(publisher.current_epoch(), 31u);
+  EXPECT_EQ(publisher.RetainedFor(28), nullptr);
+  ASSERT_NE(publisher.RetainedFor(29), nullptr);
+  EXPECT_EQ(publisher.Current()->sketch.SerializeToString(),
+            live.SerializeToString());
 }
 
 TEST_F(StoreTest, SetNextEpochSurvivesWarmRestartNumbering) {
@@ -867,14 +976,15 @@ TEST_F(StoreTest, SetNextEpochSurvivesWarmRestartNumbering) {
 
 TEST_F(StoreTest, WireDeltaRoundTripMatchesFullSnapshot) {
   // What the worker's shard_snapshot delta path does, end to end at the
-  // library level: retained base plane -> delta image -> coordinator
+  // library level: retained base snapshot -> delta image -> coordinator
   // applies it onto its cached plane.
   SnapshotPublisher publisher;
   publisher.RetainPlanes(4);
   SketchTree sketch = BuildSketch(10, SmallOptions());
   ASSERT_TRUE(publisher.PublishCopyOf(sketch).ok());  // Epoch 1 (base).
-  std::shared_ptr<const RetainedPlane> base = publisher.RetainedFor(1);
+  std::shared_ptr<const SketchSnapshot> base = publisher.RetainedFor(1);
   ASSERT_NE(base, nullptr);
+  std::vector<double> base_plane = PlaneOf(base->sketch);
 
   sketch.Update(*ParseSExpr("S(NP,VP(V))"));
   ASSERT_TRUE(publisher.PublishCopyOf(sketch).ok());  // Epoch 2.
@@ -883,13 +993,14 @@ TEST_F(StoreTest, WireDeltaRoundTripMatchesFullSnapshot) {
   current->sketch.CopyCounterPlane(plane.data());
   std::string delta = EncodeDeltaSnapshotImage(
       current->sketch.SerializeMetaToString(), plane.data(),
-      base->plane.data(), plane.size(), current->epoch,
-      current->trees_processed, base->epoch, base->plane_crc, 1);
+      base_plane.data(), plane.size(), current->epoch,
+      current->trees_processed, base->epoch,
+      PlaneCrc(base_plane.data(), base_plane.size()), 1);
 
   // Coordinator side: apply onto its copy of the epoch-1 plane.
   Result<ParsedSnapshot> parsed = ParsePagedSnapshot(delta, PageVerify::kAll);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  std::vector<double> cached = base->plane;
+  std::vector<double> cached = base_plane;
   ASSERT_TRUE(ApplyDeltaToPlane(*parsed, &cached).ok());
   Result<SketchTree> rebuilt = SketchTree::FromMetaAndCounters(
       parsed->meta, cached.data(), cached.size());

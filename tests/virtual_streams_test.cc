@@ -143,9 +143,10 @@ TEST(VirtualStreamsTest, TopKDisabledByDefault) {
 
 TEST(VirtualStreamsTest, MemoryAccounting) {
   VirtualStreams streams = *VirtualStreams::Create(SmallOptions());
-  // Honest accounting: per instance one 8-byte counter plus the stored
-  // degree-(independence-1) coefficient vector (8 x 8 bytes here).
-  EXPECT_EQ(streams.MemoryBytes(), 7u * 200u * 7u * (8u + 8u * 8u));
+  // Honest accounting: per instance one 8-byte counter in each of the 7
+  // streams, plus one stored degree-(independence-1) coefficient vector
+  // (8 x 8 bytes here) in the matrix all streams share.
+  EXPECT_EQ(streams.MemoryBytes(), 7u * 200u * 7u * 8u + 200u * 7u * 8u * 8u);
   // Section 7.5's accounting: counters + one 8-byte seed per instance.
   EXPECT_EQ(streams.PaperMemoryBytes(), 7u * 200u * 7u * 16u);
 }

@@ -584,9 +584,7 @@ int RunBuild(const Args& args) {
           ++trees;
           SKETCHTREE_RETURN_NOT_OK(ingester->Add(std::move(tree)));
           if (checkpoint_due(tree_index)) {
-            SKETCHTREE_ASSIGN_OR_RETURN(
-                SketchTree cut,
-                SketchTree::DeserializeFromString(sketch.SerializeToString()));
+            SketchTree cut = sketch;
             SKETCHTREE_ASSIGN_OR_RETURN(SketchTree shards,
                                         ingester->SnapshotShards());
             SKETCHTREE_RETURN_NOT_OK(cut.Merge(shards));
@@ -921,7 +919,7 @@ int RunServe(const Args& args) {
 
   // The live synopsis (ingest mode) or the frozen one (synopsis / warm
   // restart); snapshots of it flow to readers through the publisher.
-  // A few recent planes are retained so a coordinator's delta-mode
+  // A few recent snapshots are retained so a coordinator's delta-mode
   // shard_snapshot pulls can be answered with dirty pages only.
   SnapshotPublisher publisher;
   publisher.RetainPlanes(4);
@@ -962,7 +960,7 @@ int RunServe(const Args& args) {
                    static_cast<unsigned long long>(loaded->epoch));
     }
     // Frozen mode: the sketch moves straight into the publisher — no
-    // serialize round trip, which is what keeps a mapped load zero-copy.
+    // copy, which is what keeps a mapped load zero-copy.
     if (loaded->epoch > 0) publisher.SetNextEpoch(loaded->epoch);
     publisher.Publish(std::move(loaded->sketch));
   } else {
