@@ -19,7 +19,9 @@
 // LoadNewest zero-copy + plan restore), warm-owned (--no-mmap fallback:
 // same store, counters materialized). All three must produce the
 // bit-identical first estimate. Acceptance floor (exit code):
-// cold_ttfa / warm_mmap_ttfa >= 3x. Results go to BENCH_restart.json.
+// cold_ttfa / warm_mmap_ttfa >= 3x. A publish-cost phase reports what one
+// small epoch costs to persist (median Persist time and file bytes).
+// Results go to BENCH_restart.json.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -169,16 +171,10 @@ struct PublishResult {
   uint64_t bytes = 0;       // Newest epoch file's size on disk.
 };
 
-/// Publish-cost phase: the same trickle of updates persisted twice —
-/// once into a store that always rewrites the full snapshot
-/// (delta_max_chain = 0) and once into one that always appends a
-/// dirty-page delta. The gap is what --publish-every actually costs.
-void PublishCostPhase(const std::filesystem::path& work,
-                      PublishResult* full, PublishResult* delta) {
+/// Publish-cost phase: a trickle of small epochs persisted into a store,
+/// each a full snapshot. The median is what --publish-every costs.
+PublishResult PublishCostPhase(const std::filesystem::path& work) {
   namespace fs = std::filesystem;
-  // Top-k off: this small corpus would otherwise be tracked in full
-  // and every update would land in the (meta) trackers instead of the
-  // counter plane, making the dirty-page delta trivially empty.
   SketchTreeOptions options;
   options.max_pattern_edges = kMaxEdges;
   options.s1 = kS1;
@@ -188,39 +184,27 @@ void PublishCostPhase(const std::filesystem::path& work,
   options.seed = 42;
   SketchTree sketch = *SketchTree::Create(options);
   for (int i = 0; i < 1200; ++i) sketch.Update(*ParseSExpr(kDocs[i % 9]));
-  SynopsisStoreOptions full_options;
-  full_options.delta_max_chain = 0;
-  SynopsisStore full_store =
-      *SynopsisStore::Open((work / "pub_full").string(), full_options);
-  SynopsisStoreOptions delta_options;
-  delta_options.delta_max_chain = 1u << 20;  // Never rewrite.
-  SynopsisStore delta_store =
-      *SynopsisStore::Open((work / "pub_delta").string(), delta_options);
-  if (!full_store.Persist(sketch, 1).ok() ||
-      !delta_store.Persist(sketch, 1).ok()) {
+  SynopsisStore store = *SynopsisStore::Open((work / "pub").string());
+  if (!store.Persist(sketch, 1).ok()) {
     std::fprintf(stderr, "publish-phase seed persist failed\n");
     std::exit(1);
   }
-  std::vector<double> full_us, delta_us;
+  std::vector<double> persist_us;
   uint64_t epoch = 1;
   for (int trial = 0; trial < kTrials; ++trial) {
     // A small epoch: two more trees touch a handful of stream blocks.
     sketch.Update(*ParseSExpr(kDocs[trial % 9]));
     sketch.Update(*ParseSExpr(kDocs[(trial + 4) % 9]));
     ++epoch;
-    WallTimer full_timer;
-    if (!full_store.Persist(sketch, epoch).ok()) std::exit(1);
-    full_us.push_back(full_timer.ElapsedSeconds() * 1e6);
-    WallTimer delta_timer;
-    if (!delta_store.Persist(sketch, epoch).ok()) std::exit(1);
-    delta_us.push_back(delta_timer.ElapsedSeconds() * 1e6);
+    WallTimer timer;
+    if (!store.Persist(sketch, epoch).ok()) std::exit(1);
+    persist_us.push_back(timer.ElapsedSeconds() * 1e6);
   }
-  full->persist_us = Median(full_us);
-  delta->persist_us = Median(delta_us);
-  full->bytes = fs::file_size(work / "pub_full" /
-                              SynopsisStore::EpochFileName(epoch));
-  delta->bytes = fs::file_size(work / "pub_delta" /
-                               SynopsisStore::EpochFileName(epoch));
+  PublishResult result;
+  result.persist_us = Median(persist_us);
+  result.bytes =
+      fs::file_size(work / "pub" / SynopsisStore::EpochFileName(epoch));
+  return result;
 }
 
 PathResult MedianOf(const std::vector<PathResult>& trials) {
@@ -282,9 +266,7 @@ int main() {
   PathResult mmap = MedianOf(mmap_trials);
   PathResult owned = MedianOf(owned_trials);
 
-  PublishResult full_publish, delta_publish;
-  PublishCostPhase(work, &full_publish, &delta_publish);
-  bool delta_cheaper = delta_publish.bytes < full_publish.bytes;
+  PublishResult publish = PublishCostPhase(work);
 
   bool identical = cold.estimate == mmap.estimate &&
                    cold.estimate == owned.estimate &&
@@ -314,16 +296,9 @@ int main() {
   std::printf("  restart speedup (cold/mmap ttfa): %.2fx "
               "(acceptance floor 3x)\n",
               speedup);
-  std::printf("  publish cost per 2-tree epoch: full %.1f us / %llu bytes,"
-              " delta %.1f us / %llu bytes (%.1fx fewer bytes)\n",
-              full_publish.persist_us,
-              static_cast<unsigned long long>(full_publish.bytes),
-              delta_publish.persist_us,
-              static_cast<unsigned long long>(delta_publish.bytes),
-              delta_publish.bytes > 0
-                  ? static_cast<double>(full_publish.bytes) /
-                        static_cast<double>(delta_publish.bytes)
-                  : 0.0);
+  std::printf("  publish cost per 2-tree epoch: %.1f us / %llu bytes\n",
+              publish.persist_us,
+              static_cast<unsigned long long>(publish.bytes));
 
   FILE* json = std::fopen("BENCH_restart.json", "w");
   if (json != nullptr) {
@@ -354,15 +329,8 @@ int main() {
     std::fprintf(json,
                  "  \"full_publish\": {\"persist_us\": %.1f,"
                  " \"bytes\": %llu},\n",
-                 full_publish.persist_us,
-                 static_cast<unsigned long long>(full_publish.bytes));
-    std::fprintf(json,
-                 "  \"delta_publish\": {\"persist_us\": %.1f,"
-                 " \"bytes\": %llu},\n",
-                 delta_publish.persist_us,
-                 static_cast<unsigned long long>(delta_publish.bytes));
-    std::fprintf(json, "  \"delta_publish_cheaper\": %s,\n",
-                 delta_cheaper ? "true" : "false");
+                 publish.persist_us,
+                 static_cast<unsigned long long>(publish.bytes));
     std::fprintf(json, "  \"estimates_bit_identical\": %s,\n",
                  identical ? "true" : "false");
     std::fprintf(json, "  \"restart_speedup\": %.2f,\n", speedup);
@@ -375,5 +343,5 @@ int main() {
   }
 
   fs::remove_all(work);
-  return (floor_met && identical && states_ok && delta_cheaper) ? 0 : 1;
+  return (floor_met && identical && states_ok) ? 0 : 1;
 }

@@ -2,16 +2,16 @@
 """CI validator for the persistent synopsis store (`--store`).
 
 Scenario: a live-ingest server persists its published epochs into a
-store directory (one full snapshot, then a delta chain) and saves its
-plan cache; the process is then SIGKILLed — no shutdown handler runs —
+store directory (every epoch a full snapshot; the store keeps the newest
+and its predecessor) and saves its plan cache; the process is then SIGKILLed — no shutdown handler runs —
 and a fresh `serve --store DIR` must warm-restart from the newest
 persisted epoch and answer the first query bit-identically to the
 pre-kill answer, with `cache: hit` (the plan was restored from disk,
-not recompiled).
+not recompiled), and the restart must map the newest epoch (`(mmap)`).
 
 Also drives `inspect --store DIR` over the surviving files: every
-epoch must verify (page CRCs), and the delta epochs must report their
-base chain.
+epoch must verify (page CRCs) and carry the whole counter plane, and
+at most two epoch files may remain.
 
 Usage:
   check_store.py [--cli build/tools/sketchtree_cli]
@@ -33,13 +33,17 @@ import time
 
 server = None
 
-# 12 trees, published every 3: one full epoch, then deltas.
+# 12 trees, published every 3: five epochs, of which two remain.
 FOREST = "<forest>" + "".join(
     "<author><name/><affil/></author>"
     "<book><title/><author/></book>"
     "<article><author><name/><affil/></author><year/></article>"
     for _ in range(4)) + "</forest>"
 TREES = 12
+# The sketch dimensions the server runs with (the CLI defaults, passed
+# explicitly): the counter plane is S1 * S2 * STREAMS doubles.
+S1, S2, STREAMS = 50, 7, 229
+PLANE_PAGES = (S1 * S2 * STREAMS * 8 + 4095) // 4096
 QUERY = {"op": "count", "q": "author(name,affil)"}
 
 
@@ -108,9 +112,10 @@ def main():
     port = start_server(
         args.cli,
         # --topk 0: with tracking on, this tiny corpus would be tracked
-        # in full and the deltas would carry no counter pages at all.
+        # in full and the counter plane would stay all zero.
         ["--input", forest, "--store", store, "--publish-every", "3",
-         "--topk", "0", "--plan-save-every-ms", "200"],
+         "--topk", "0", "--s1", str(S1), "--s2", str(S2), "--streams",
+         str(STREAMS), "--plan-save-every-ms", "200"],
         os.path.join(tmp, "run1.stderr"))
     wait_for_stderr(os.path.join(tmp, "run1.stderr"), "ingest finished")
 
@@ -133,11 +138,11 @@ def main():
     epochs = sorted(int(m.group(1)) for m in (
         re.match(r"epoch-(\d+)\.sks3$", name)
         for name in os.listdir(store)) if m)
-    if len(epochs) < 4:
-        fail(f"expected a full epoch plus >= 3 deltas in the store, "
-             f"found epoch files {epochs}")
+    if not 1 <= len(epochs) <= 2:
+        fail(f"expected the newest epoch and at most its predecessor in "
+             f"the store, found epoch files {epochs}")
 
-    # --- The surviving files verify, and the deltas report their chain. --
+    # --- The surviving files verify and each holds the whole plane. -----
     inspected = subprocess.run(
         [args.cli, "inspect", "--store", store, "--json"],
         capture_output=True, text=True)
@@ -151,23 +156,17 @@ def main():
         fail(f"inspect listed {entries} but the directory holds {epochs}")
     if any(e.get("pages_ok") is not True for e in entries):
         fail(f"inspect reports unverified pages: {entries}")
-    deltas = [e for e in entries if e.get("kind") == "delta"]
-    if len(deltas) < 3:
-        fail(f"expected >= 3 delta epochs, got: {entries}")
-    trees_at = {e["epoch"]: e.get("trees", 0) for e in entries}
-    for entry in deltas:
-        if entry.get("base_epoch", 0) != entry["epoch"] - 1:
-            fail(f"delta chain broken at {entry}")
-        # The final ingest epoch republishes an unchanged plane — an
-        # empty delta. Every delta that ingested trees must carry pages.
-        if (entry.get("counter_pages", 0) < 1 and
-                entry.get("trees") != trees_at.get(entry["epoch"] - 1)):
-            fail(f"delta epoch carries no dirty counter pages: {entry}")
+    for entry in entries:
+        if entry.get("counter_pages") != PLANE_PAGES:
+            fail(f"epoch does not carry the whole {PLANE_PAGES}-page "
+                 f"counter plane: {entry}")
 
     # --- Run 2: warm restart from the store alone. -----------------------
     stderr2 = os.path.join(tmp, "run2.stderr")
     port = start_server(args.cli, ["--store", store], stderr2)
     text = wait_for_stderr(stderr2, "warm restart: epoch")
+    if "(mmap)" not in text:
+        fail(f"warm restart did not map the newest epoch: {text!r}")
     if "plan cache: restored" not in wait_for_stderr(
             stderr2, "plan cache: restored"):
         fail(f"no plan-cache restore message; stderr: {text!r}")
@@ -189,10 +188,11 @@ def main():
         fail(f"restarted server exited with status {server.returncode}")
 
     shutil.rmtree(tmp, ignore_errors=True)
-    print("check_store: OK: ingest persisted 1 full + "
-          f"{len(deltas)} delta epochs, inspect verified every page, "
-          "SIGKILL survived, warm restart answered the first query "
-          "bit-identically from the restored plan cache (cache hit)")
+    print(f"check_store: OK: ingest left epochs {epochs} in the store, "
+          "inspect verified every page of every full plane, SIGKILL "
+          "survived, the warm restart mapped the newest epoch and answered "
+          "the first query bit-identically from the restored plan cache "
+          "(cache hit)")
 
 
 if __name__ == "__main__":

@@ -8,7 +8,6 @@
 #include "common/timer.h"
 #include "server/compiled_query.h"
 #include "server/wire.h"
-#include "store/page_format.h"
 #include "trace/trace.h"
 
 namespace sketchtree {
@@ -120,10 +119,7 @@ Coordinator::Coordinator(const CoordinatorOptions& options)
       hedge_wins_(GlobalMetrics().GetCounter("cluster.hedge_wins")),
       breaker_skips_(GlobalMetrics().GetCounter("cluster.breaker_skips")),
       refresh_ok_(GlobalMetrics().GetCounter("cluster.refresh_ok")),
-      refresh_partial_(GlobalMetrics().GetCounter("cluster.refresh_partial")),
-      refresh_deltas_(GlobalMetrics().GetCounter("cluster.refresh_deltas")),
-      refresh_delta_fallbacks_(
-          GlobalMetrics().GetCounter("cluster.refresh_delta_fallbacks")) {
+      refresh_partial_(GlobalMetrics().GetCounter("cluster.refresh_partial")) {
   for (const ShardAddress& addr : options.shards) {
     shards_.push_back(std::make_unique<ShardState>(addr, options));
   }
@@ -414,82 +410,28 @@ Result<SketchTree> Coordinator::PullShardSnapshot(ShardState& shard) {
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::milliseconds(4 * options_.shard_deadline_ms);
-  // First attempt names our cached epoch so the worker can answer with
-  // only the dirty pages; a delta that fails to apply (ring aged out
-  // mid-flight, damaged pages) drops the cache and re-pulls full once.
-  bool ask_delta = shard.snap_cache != nullptr && shard.snap_cache->epoch != 0;
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    std::string request = "{\"op\":\"shard_snapshot\"";
-    if (ask_delta) {
-      request +=
-          ",\"base_epoch\":" + std::to_string(shard.snap_cache->epoch);
-    }
-    request += "}";
-    SKETCHTREE_ASSIGN_OR_RETURN(
-        std::string reply, CallShard(shard, request, deadline,
-                                     TraceContext{}));
-    SKETCHTREE_ASSIGN_OR_RETURN(bool ok, JsonFieldBool(reply, "ok"));
-    if (!ok) return ShardErrorStatus(shard.address, reply);
-    SKETCHTREE_ASSIGN_OR_RETURN(double epoch,
-                                JsonFieldNumber(reply, "epoch"));
-    SKETCHTREE_ASSIGN_OR_RETURN(double trees,
-                                JsonFieldNumber(reply, "trees"));
-    SKETCHTREE_ASSIGN_OR_RETURN(std::string base64,
-                                JsonFieldString(reply, "sketch"));
-    Result<std::string> bytes = Base64Decode(base64);
-    if (!bytes.ok()) {
-      return Status::Corruption("shard " + shard.address.ToString() +
-                                " snapshot decode failed: " +
-                                bytes.status().message());
-    }
-    Result<std::string> format = JsonFieldString(reply, "format");
-    bool is_delta = format.ok() && format.value() == "v3delta";
-
-    Result<SketchTree> sketch = [&]() -> Result<SketchTree> {
-      if (is_delta) {
-        if (shard.snap_cache == nullptr) {
-          return Status::Corruption("unsolicited delta snapshot");
-        }
-        SKETCHTREE_ASSIGN_OR_RETURN(
-            ParsedSnapshot parsed,
-            ParsePagedSnapshot(bytes.value(), PageVerify::kAll));
-        if (!parsed.header.is_delta() ||
-            parsed.header.base_epoch != shard.snap_cache->epoch) {
-          return Status::Corruption("delta against unexpected base epoch " +
-                                    std::to_string(parsed.header.base_epoch));
-        }
-        SKETCHTREE_RETURN_NOT_OK(
-            ApplyDeltaToPlane(parsed, &shard.snap_cache->plane));
-        shard.snap_cache->epoch = parsed.header.epoch;
-        refresh_deltas_->Increment();
-        return SketchTree::FromMetaAndCounters(
-            parsed.meta, shard.snap_cache->plane.data(),
-            shard.snap_cache->plane.size(), /*attach=*/false);
-      }
-      SKETCHTREE_ASSIGN_OR_RETURN(
-          SketchTree full, SketchTree::DeserializeFromString(bytes.value()));
-      auto cache = std::make_unique<ShardState::SnapCache>();
-      cache->epoch = static_cast<uint64_t>(epoch);
-      cache->plane.resize(full.CounterPlaneDoubles());
-      full.CopyCounterPlane(cache->plane.data());
-      shard.snap_cache = std::move(cache);
-      return full;
-    }();
-    if (!sketch.ok()) {
-      if (is_delta && attempt == 0) {
-        refresh_delta_fallbacks_->Increment();
-        shard.snap_cache.reset();
-        ask_delta = false;
-        continue;
-      }
-      return std::move(sketch);
-    }
-    shard.last_epoch.store(static_cast<uint64_t>(epoch));
-    shard.last_trees.store(static_cast<uint64_t>(trees));
-    shard.last_self_join.store(sketch.value().EstimateSelfJoinSize());
-    return std::move(sketch);
+  SKETCHTREE_ASSIGN_OR_RETURN(
+      std::string reply,
+      CallShard(shard, "{\"op\":\"shard_snapshot\"}", deadline,
+                TraceContext{}));
+  SKETCHTREE_ASSIGN_OR_RETURN(bool ok, JsonFieldBool(reply, "ok"));
+  if (!ok) return ShardErrorStatus(shard.address, reply);
+  SKETCHTREE_ASSIGN_OR_RETURN(double epoch, JsonFieldNumber(reply, "epoch"));
+  SKETCHTREE_ASSIGN_OR_RETURN(double trees, JsonFieldNumber(reply, "trees"));
+  SKETCHTREE_ASSIGN_OR_RETURN(std::string base64,
+                              JsonFieldString(reply, "sketch"));
+  Result<std::string> bytes = Base64Decode(base64);
+  if (!bytes.ok()) {
+    return Status::Corruption("shard " + shard.address.ToString() +
+                              " snapshot decode failed: " +
+                              bytes.status().message());
   }
-  return Status::Internal("unreachable: shard snapshot pull loop exhausted");
+  SKETCHTREE_ASSIGN_OR_RETURN(
+      SketchTree sketch, SketchTree::DeserializeFromString(bytes.value()));
+  shard.last_epoch.store(static_cast<uint64_t>(epoch));
+  shard.last_trees.store(static_cast<uint64_t>(trees));
+  shard.last_self_join.store(sketch.EstimateSelfJoinSize());
+  return sketch;
 }
 
 void Coordinator::ProbeShardClock(ShardState& shard) {

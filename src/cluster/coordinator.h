@@ -161,17 +161,6 @@ class Coordinator {
     std::atomic<int64_t> clock_offset_ns{0};
     Histogram* latency_us = nullptr;
 
-    /// Delta-refresh state: the plane of the last epoch fully
-    /// materialized from this shard — the base the next pull asks the
-    /// worker to diff against. Guarded by refresh_mu_ (only the
-    /// refresh path reads or writes it); null until the first full
-    /// pull, and reset whenever a delta fails to apply.
-    struct SnapCache {
-      uint64_t epoch = 0;
-      std::vector<double> plane;
-    };
-    std::unique_ptr<SnapCache> snap_cache;
-
     ShardState(const ShardAddress& addr, const CoordinatorOptions& options);
   };
 
@@ -238,8 +227,6 @@ class Coordinator {
   Counter* breaker_skips_;
   Counter* refresh_ok_;
   Counter* refresh_partial_;
-  Counter* refresh_deltas_;
-  Counter* refresh_delta_fallbacks_;
 };
 
 }  // namespace sketchtree

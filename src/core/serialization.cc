@@ -92,8 +92,7 @@ Status SketchTree::LoadBody(BinaryReader* reader, bool with_counters) {
         "summary presence flag conflicts with the synopsis options");
   }
   if (summary_ != nullptr) {
-    // StructuralSummary::LoadState requires a pristine summary, and a
-    // delta application reloads meta into a synopsis that holds one.
+    // StructuralSummary::LoadState requires a pristine summary.
     StructuralSummary::Options summary_options;
     summary_options.max_nodes = options_.summary_max_nodes;
     summary_ = std::make_unique<StructuralSummary>(summary_options);
@@ -183,19 +182,6 @@ Result<SketchTreeOptions> ReadMetaEnvelope(BinaryReader* reader) {
   return ReadOptions(reader);
 }
 
-bool SameSketchOptions(const SketchTreeOptions& a,
-                       const SketchTreeOptions& b) {
-  return a.max_pattern_edges == b.max_pattern_edges && a.s1 == b.s1 &&
-         a.s2 == b.s2 && a.num_virtual_streams == b.num_virtual_streams &&
-         a.topk_size == b.topk_size &&
-         a.topk_probability == b.topk_probability &&
-         a.fingerprint_degree == b.fingerprint_degree &&
-         a.independence == b.independence && a.seed == b.seed &&
-         a.sketch_seed == b.sketch_seed &&
-         a.build_structural_summary == b.build_structural_summary &&
-         a.summary_max_nodes == b.summary_max_nodes;
-}
-
 }  // namespace
 
 Result<SketchTree> SketchTree::FromMetaAndCounters(std::string_view meta,
@@ -215,17 +201,6 @@ Result<SketchTree> SketchTree::FromMetaAndCounters(std::string_view meta,
                                                                count));
   }
   return sketch;
-}
-
-Status SketchTree::LoadMetaFromString(std::string_view meta) {
-  BinaryReader reader(meta);
-  SKETCHTREE_ASSIGN_OR_RETURN(SketchTreeOptions options,
-                              ReadMetaEnvelope(&reader));
-  if (!SameSketchOptions(options, options_)) {
-    return Status::InvalidArgument(
-        "snapshot meta was written under different synopsis options");
-  }
-  return LoadBody(&reader, /*with_counters=*/false);
 }
 
 Status SketchTree::SaveToFile(const std::string& path) const {

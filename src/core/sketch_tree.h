@@ -201,13 +201,8 @@ class SketchTree {
                                                 size_t count,
                                                 bool attach = false);
 
-  /// Replaces this synopsis's meta state in place with a blob written
-  /// under the *same options* (delta-epoch application: counters are
-  /// patched separately, meta is replaced wholesale).
-  Status LoadMetaFromString(std::string_view meta);
-
   /// Counter-plane bulk access, forwarded to VirtualStreams — the unit
-  /// the paged store serializes, diffs, and maps.
+  /// the paged store serializes and maps.
   size_t CounterPlaneDoubles() const {
     return streams_->CounterPlaneDoubles();
   }

@@ -43,8 +43,6 @@ const char* FaultInjector::SiteName(FaultSite site) {
       return "net.garbled_reply";
     case FaultSite::kStoreTornPageWrite:
       return "store.torn_page";
-    case FaultSite::kStoreStaleDeltaBase:
-      return "store.stale_base";
     case FaultSite::kStoreMmapFail:
       return "store.mmap_fail";
   }

@@ -60,24 +60,20 @@ enum class FaultSite {
   kNetGarbledReply,
 
   // Persistent-store sites, consulted by the paged snapshot store
-  // (src/store/, DESIGN.md section 15). They simulate the disk- and
-  // chain-level failures the v3 format's per-page CRCs and base
-  // stamps exist to catch.
+  // (src/store/, DESIGN.md section 15). They simulate the disk-level
+  // failures the v3 format's per-page CRCs and the mmap fallback exist
+  // to catch.
   /// The paged snapshot write is torn mid-page: only the first `param`
   /// bytes of the encoded page set reach disk (param 0 keeps the
   /// header page only). The loader must reject the file as Corruption
   /// via the page directory, never parse the remnant.
   kStoreTornPageWrite,
-  /// The delta being written stamps a wrong base: its base_plane_crc is
-  /// corrupted, simulating a delta published against a base epoch that
-  /// was since rewritten. Chain replay must refuse it as Corruption.
-  kStoreStaleDeltaBase,
   /// MmapFile::Map fails as if the kernel refused the mapping; callers
   /// must fall back to the portable read-and-deserialize path.
   kStoreMmapFail,
 };
 
-inline constexpr int kNumFaultSites = 14;
+inline constexpr int kNumFaultSites = 13;
 
 /// When and how a site misbehaves.
 struct FaultPlan {
@@ -127,7 +123,7 @@ class FaultInjector {
   ///              | file.read_error | queue.stall | tree.malformed
   ///              | reader.error | net.connect_refused | net.disconnect
   ///              | net.slow_write | net.garbled_reply | store.torn_page
-  ///              | store.stale_base | store.mmap_fail
+  ///              | store.mmap_fail
   ///
   /// e.g. "file.torn_rename@2" (third atomic write crashes before
   /// rename), "reader.error@0x3" (first three source reads fail),

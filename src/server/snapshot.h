@@ -70,8 +70,8 @@ class SnapshotPublisher {
   /// Keeps the last `epochs` published snapshots alive (0 disables, the
   /// default). Retention copies nothing — a snapshot is immutable, so
   /// the ring holds references — but each retained epoch keeps its
-  /// synopsis in memory. Workers enable this to answer delta-mode
-  /// shard_snapshot pulls against any base still in the ring.
+  /// synopsis in memory. The server does not enable it; a caller that
+  /// wants recent epochs kept readable through RetainedFor does.
   void RetainPlanes(size_t epochs);
 
   /// The retained snapshot of `epoch`, or nullptr if retention is off or

@@ -18,7 +18,6 @@
 #include "common/timer.h"
 #include "server/compiled_query.h"
 #include "sketch/kernel_dispatch.h"
-#include "store/page_format.h"
 #include "trace/trace.h"
 
 namespace sketchtree {
@@ -724,38 +723,10 @@ void QueryServer::HandleRequest(const std::shared_ptr<Connection>& conn,
                   /*ok=*/true);
       return;
     }
-    // shard_snapshot: the merge-at-publish pull. Delta mode first: when
-    // the coordinator names a base epoch the publisher still retains,
-    // reply with a v3 counter-diff image — only the pages dirtied since
-    // that epoch cross the wire. Any miss (ring aged out, retention
-    // off, dimension drift) falls through to the full reply, which the
-    // coordinator always accepts.
-    if (request.base_epoch != 0) {
-      std::shared_ptr<const SketchSnapshot> base =
-          service_->snapshots().RetainedFor(request.base_epoch);
-      size_t doubles = snapshot->sketch.CounterPlaneDoubles();
-      if (base != nullptr && base->sketch.CounterPlaneDoubles() == doubles) {
-        std::vector<double> plane(doubles);
-        std::vector<double> base_plane(doubles);
-        snapshot->sketch.CopyCounterPlane(plane.data());
-        base->sketch.CopyCounterPlane(base_plane.data());
-        std::string image = EncodeDeltaSnapshotImage(
-            snapshot->sketch.SerializeMetaToString(), plane.data(),
-            base_plane.data(), doubles, snapshot->epoch,
-            snapshot->trees_processed, base->epoch,
-            PlaneCrc(base_plane.data(), doubles), /*chain_depth=*/1);
-        GlobalMetrics().GetCounter("server.shard_snapshot_deltas")
-            ->Increment();
-        SendCounted(conn,
-                    FormatShardDeltaReply(request.id_json, snapshot->epoch,
-                                          snapshot->trees_processed,
-                                          base->epoch, Base64Encode(image)),
-                    /*ok=*/true);
-        return;
-      }
-    }
-    // The serialized synopsis is the checkpoint format, so a
-    // coordinator can also hand it to a fresh worker (shard handoff).
+    // shard_snapshot: the merge-at-publish pull, always the full
+    // serialized synopsis (an older coordinator's `base_epoch` field is
+    // ignored). It is the checkpoint format, so a coordinator can also
+    // hand it to a fresh worker (shard handoff).
     std::string bytes = snapshot->sketch.SerializeToString();
     SendCounted(conn,
                 FormatShardSnapshotReply(request.id_json, snapshot->epoch,

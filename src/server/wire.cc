@@ -286,10 +286,6 @@ class FlatJsonParser {
       request->strategy = std::move(string_value);
     } else if (key == "trace" && is_string) {
       request->trace = std::move(string_value);
-    } else if (key == "base_epoch" && !is_string) {
-      double value = std::atof(std::string(raw).c_str());
-      request->base_epoch =
-          value <= 0 ? 0 : static_cast<uint64_t>(value);
     }
     return Status::OK();
   }
@@ -604,23 +600,6 @@ std::string FormatShardSnapshotReply(std::string_view id_json, uint64_t epoch,
                 static_cast<unsigned long long>(trees));
   out += buf;
   out += base64_sketch;  // Base64 never needs JSON escaping.
-  out += "\"}";
-  return out;
-}
-
-std::string FormatShardDeltaReply(std::string_view id_json, uint64_t epoch,
-                                  uint64_t trees, uint64_t base_epoch,
-                                  std::string_view base64_delta) {
-  std::string out = IdPrefix(id_json);
-  char buf[128];
-  std::snprintf(buf, sizeof(buf),
-                "\"ok\":true,\"epoch\":%llu,\"trees\":%llu,"
-                "\"format\":\"v3delta\",\"base_epoch\":%llu,\"sketch\":\"",
-                static_cast<unsigned long long>(epoch),
-                static_cast<unsigned long long>(trees),
-                static_cast<unsigned long long>(base_epoch));
-  out += buf;
-  out += base64_delta;  // Base64 never needs JSON escaping.
   out += "\"}";
   return out;
 }

@@ -113,11 +113,6 @@ struct WireRequest {
   /// Decoded with ParseTraceField by the server; malformed values are
   /// treated as no context, never as an error.
   std::string trace;
-  /// shard_snapshot: the coordinator's last fully-materialized epoch
-  /// for this shard. Nonzero asks the worker for a v3 counter-diff
-  /// delta against it when the worker still retains that epoch's
-  /// plane; 0 (or absent) always gets the full v2 snapshot.
-  uint64_t base_epoch = 0;
 };
 
 /// Parses one request line. Accepts exactly a flat JSON object with
@@ -218,14 +213,6 @@ std::string FormatShardEstimateReply(std::string_view id_json, int s1, int s2,
 std::string FormatShardSnapshotReply(std::string_view id_json, uint64_t epoch,
                                      uint64_t trees,
                                      std::string_view base64_sketch);
-
-/// Renders a delta-mode `shard_snapshot` reply: `sketch` carries a
-/// base64 v3 delta image (only the counter pages dirtied since
-/// `base_epoch`), flagged with `"format":"v3delta"` so a coordinator
-/// that did not ask for deltas can still tell the two apart.
-std::string FormatShardDeltaReply(std::string_view id_json, uint64_t epoch,
-                                  uint64_t trees, uint64_t base_epoch,
-                                  std::string_view base64_delta);
 
 /// Renders a `health` success reply: snapshot provenance plus the
 /// worker's current self-join-size estimate (the Theorem-1 error-scale

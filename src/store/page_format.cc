@@ -6,7 +6,6 @@
 
 #include "common/binary_io.h"
 #include "common/crc32.h"
-#include "faultinject/fault_injector.h"
 
 namespace sketchtree {
 
@@ -29,19 +28,23 @@ size_t PagesFor(size_t bytes) {
   return (bytes + kPagedPageSize - 1) / kPagedPageSize;
 }
 
+uint32_t PlaneCrc(const double* plane, size_t count) {
+  return Crc32(BytesOf(plane, count));
+}
+
 void EncodeHeader(const PagedHeader& header, std::string* out) {
   BinaryWriter writer;
   writer.WriteU32(kPagedMagic);
   writer.WriteU32(kPagedVersion);
   writer.WriteU32(kPagedPageSize);
-  writer.WriteU32(header.flags);
+  writer.WriteU32(0);  // Retired delta flags.
   writer.WriteU64(header.epoch);
   writer.WriteU64(header.trees_processed);
-  writer.WriteU64(header.base_epoch);
-  writer.WriteU32(header.base_plane_crc);
+  writer.WriteU64(0);  // Retired base epoch.
+  writer.WriteU32(0);  // Retired base plane CRC.
   writer.WriteU32(header.plane_crc);
   writer.WriteU64(header.counter_doubles);
-  writer.WriteU32(header.chain_depth);
+  writer.WriteU32(0);  // Retired chain depth.
   writer.WriteU32(header.page_count);
   writer.WriteU64(header.dir_offset);
   writer.WriteU64(header.dir_length);
@@ -96,7 +99,8 @@ std::string AssembleImage(PagedHeader header, std::vector<PageEntry> entries,
   return image;
 }
 
-/// Splits `blob` into pages of `kind` with ordinal page ids.
+/// Splits `blob` into pages of `kind` with ordinal page ids (for the
+/// counter plane, the ordinal is the plane page index).
 void AppendBlobPages(PageKind kind, std::string_view blob,
                      std::vector<PageEntry>* entries,
                      std::vector<std::string_view>* payloads) {
@@ -110,37 +114,6 @@ void AppendBlobPages(PageKind kind, std::string_view blob,
     entries->push_back(entry);
     payloads->push_back(slice);
   }
-}
-
-/// Splits the meta blob, the cursor blob and the given counter page set
-/// into directory entries + payload views, shared by the full and delta
-/// encoders. `counter_page_ids` selects which plane pages to emit.
-std::string EncodeImage(PagedHeader header, std::string_view meta,
-                        std::string_view cursor, const double* plane,
-                        size_t plane_doubles,
-                        const std::vector<uint32_t>& counter_page_ids) {
-  header.meta_length = meta.size();
-  header.cursor_length = static_cast<uint32_t>(cursor.size());
-  header.counter_doubles = plane_doubles;
-
-  std::vector<PageEntry> entries;
-  std::vector<std::string_view> payloads;
-  AppendBlobPages(PageKind::kMeta, meta, &entries, &payloads);
-  AppendBlobPages(PageKind::kCursor, cursor, &entries, &payloads);
-  std::string_view plane_bytes = BytesOf(plane, plane_doubles);
-  for (uint32_t page_id : counter_page_ids) {
-    size_t begin = static_cast<size_t>(page_id) * kPagedPageSize;
-    std::string_view slice = plane_bytes.substr(
-        begin, std::min<size_t>(kPagedPageSize, plane_bytes.size() - begin));
-    PageEntry entry;
-    entry.page_id = page_id;
-    entry.kind = PageKind::kCounters;
-    entry.payload_length = static_cast<uint32_t>(slice.size());
-    entry.crc = Crc32(slice);
-    entries.push_back(entry);
-    payloads.push_back(slice);
-  }
-  return AssembleImage(std::move(header), std::move(entries), payloads);
 }
 
 Result<PagedHeader> ParseHeader(std::string_view bytes) {
@@ -164,14 +137,14 @@ Result<PagedHeader> ParseHeader(std::string_view bytes) {
     return Status::InvalidArgument("unsupported page size " +
                                    std::to_string(page_size));
   }
-  SKETCHTREE_ASSIGN_OR_RETURN(header.flags, reader.ReadU32());
+  SKETCHTREE_ASSIGN_OR_RETURN(uint32_t flags, reader.ReadU32());
   SKETCHTREE_ASSIGN_OR_RETURN(header.epoch, reader.ReadU64());
   SKETCHTREE_ASSIGN_OR_RETURN(header.trees_processed, reader.ReadU64());
-  SKETCHTREE_ASSIGN_OR_RETURN(header.base_epoch, reader.ReadU64());
-  SKETCHTREE_ASSIGN_OR_RETURN(header.base_plane_crc, reader.ReadU32());
+  SKETCHTREE_ASSIGN_OR_RETURN(uint64_t base_epoch, reader.ReadU64());
+  SKETCHTREE_ASSIGN_OR_RETURN(uint32_t base_plane_crc, reader.ReadU32());
   SKETCHTREE_ASSIGN_OR_RETURN(header.plane_crc, reader.ReadU32());
   SKETCHTREE_ASSIGN_OR_RETURN(header.counter_doubles, reader.ReadU64());
-  SKETCHTREE_ASSIGN_OR_RETURN(header.chain_depth, reader.ReadU32());
+  SKETCHTREE_ASSIGN_OR_RETURN(uint32_t chain_depth, reader.ReadU32());
   SKETCHTREE_ASSIGN_OR_RETURN(header.page_count, reader.ReadU32());
   SKETCHTREE_ASSIGN_OR_RETURN(header.dir_offset, reader.ReadU64());
   SKETCHTREE_ASSIGN_OR_RETURN(header.dir_length, reader.ReadU64());
@@ -184,10 +157,14 @@ Result<PagedHeader> ParseHeader(std::string_view bytes) {
   if (stored_crc != computed) {
     return Status::Corruption("paged snapshot header checksum mismatch");
   }
-  if (header.is_delta() == (header.chain_depth == 0)) {
-    return Status::Corruption("paged snapshot delta flag disagrees with "
-                              "chain depth " +
-                              std::to_string(header.chain_depth));
+  if (flags != 0 || base_epoch != 0 || base_plane_crc != 0 ||
+      chain_depth != 0) {
+    // The header CRC held, so these were written on purpose: a delta
+    // image (flag bit 0) of an older store.
+    return Status::InvalidArgument(
+        "paged snapshot is a delta image (flags " + std::to_string(flags) +
+        ", base epoch " + std::to_string(base_epoch) + ", chain depth " +
+        std::to_string(chain_depth) + "); only full images are read");
   }
   return header;
 }
@@ -241,10 +218,6 @@ bool IsPagedSnapshot(std::string_view bytes) {
   return magic == kPagedMagic;
 }
 
-uint32_t PlaneCrc(const double* plane, size_t count) {
-  return Crc32(BytesOf(plane, count));
-}
-
 std::string EncodeFullSnapshotImage(std::string_view meta, const double* plane,
                                     size_t plane_doubles, uint64_t epoch,
                                     uint64_t trees_processed,
@@ -253,48 +226,17 @@ std::string EncodeFullSnapshotImage(std::string_view meta, const double* plane,
   header.epoch = epoch;
   header.trees_processed = trees_processed;
   header.plane_crc = PlaneCrc(plane, plane_doubles);
-  std::vector<uint32_t> page_ids;
-  size_t plane_pages = PagesFor(plane_doubles * sizeof(double));
-  page_ids.reserve(plane_pages);
-  for (size_t i = 0; i < plane_pages; ++i) {
-    page_ids.push_back(static_cast<uint32_t>(i));
-  }
-  return EncodeImage(header, meta, cursor, plane, plane_doubles, page_ids);
-}
+  header.meta_length = meta.size();
+  header.cursor_length = static_cast<uint32_t>(cursor.size());
+  header.counter_doubles = plane_doubles;
 
-std::string EncodeDeltaSnapshotImage(std::string_view meta,
-                                     const double* plane,
-                                     const double* base_plane,
-                                     size_t plane_doubles, uint64_t epoch,
-                                     uint64_t trees_processed,
-                                     uint64_t base_epoch,
-                                     uint32_t base_plane_crc,
-                                     uint32_t chain_depth,
-                                     std::string_view cursor) {
-  PagedHeader header;
-  header.flags = kPagedFlagDelta;
-  header.epoch = epoch;
-  header.trees_processed = trees_processed;
-  header.base_epoch = base_epoch;
-  header.base_plane_crc = base_plane_crc;
-  header.plane_crc = PlaneCrc(plane, plane_doubles);
-  header.chain_depth = chain_depth;
-  if (FaultInjector::Global().ShouldFire(FaultSite::kStoreStaleDeltaBase)) {
-    header.base_plane_crc ^= 0xDEADBEEFu;
-  }
-
-  std::string_view now = BytesOf(plane, plane_doubles);
-  std::string_view then = BytesOf(base_plane, plane_doubles);
-  std::vector<uint32_t> dirty;
-  size_t plane_pages = PagesFor(now.size());
-  for (size_t i = 0; i < plane_pages; ++i) {
-    size_t begin = i * kPagedPageSize;
-    size_t length = std::min<size_t>(kPagedPageSize, now.size() - begin);
-    if (std::memcmp(now.data() + begin, then.data() + begin, length) != 0) {
-      dirty.push_back(static_cast<uint32_t>(i));
-    }
-  }
-  return EncodeImage(header, meta, cursor, plane, plane_doubles, dirty);
+  std::vector<PageEntry> entries;
+  std::vector<std::string_view> payloads;
+  AppendBlobPages(PageKind::kMeta, meta, &entries, &payloads);
+  AppendBlobPages(PageKind::kCursor, cursor, &entries, &payloads);
+  AppendBlobPages(PageKind::kCounters, BytesOf(plane, plane_doubles),
+                  &entries, &payloads);
+  return AssembleImage(header, std::move(entries), payloads);
 }
 
 Result<ParsedSnapshot> ParsePagedSnapshot(std::string_view bytes,
@@ -412,27 +354,24 @@ Result<ParsedSnapshot> ParsePagedSnapshot(std::string_view bytes,
           std::to_string(expect));
     }
   }
-  if (!header.is_delta()) {
-    if (parsed.counter_pages.size() != plane_pages ||
-        counter_bytes != plane_bytes) {
-      return Status::Corruption(
-          "full snapshot carries " +
-          std::to_string(parsed.counter_pages.size()) + " counter pages (" +
-          std::to_string(counter_bytes) + " bytes) but the plane needs " +
-          std::to_string(plane_pages) + " (" + std::to_string(plane_bytes) +
-          " bytes)");
+  if (parsed.counter_pages.size() != plane_pages ||
+      counter_bytes != plane_bytes) {
+    return Status::Corruption(
+        "snapshot carries " + std::to_string(parsed.counter_pages.size()) +
+        " counter pages (" + std::to_string(counter_bytes) +
+        " bytes) but the plane needs " + std::to_string(plane_pages) + " (" +
+        std::to_string(plane_bytes) + " bytes)");
+  }
+  parsed.counters_contiguous = !parsed.counter_pages.empty();
+  for (size_t i = 0; i < parsed.counter_pages.size(); ++i) {
+    if (parsed.counter_pages[i].entry.file_offset !=
+        parsed.counter_pages[0].entry.file_offset + i * kPagedPageSize) {
+      parsed.counters_contiguous = false;
+      break;
     }
-    parsed.counters_contiguous = !parsed.counter_pages.empty();
-    for (size_t i = 0; i < parsed.counter_pages.size(); ++i) {
-      if (parsed.counter_pages[i].entry.file_offset !=
-          parsed.counter_pages[0].entry.file_offset + i * kPagedPageSize) {
-        parsed.counters_contiguous = false;
-        break;
-      }
-    }
-    if (parsed.counters_contiguous) {
-      parsed.counters_offset = parsed.counter_pages[0].entry.file_offset;
-    }
+  }
+  if (parsed.counters_contiguous) {
+    parsed.counters_offset = parsed.counter_pages[0].entry.file_offset;
   }
   return parsed;
 }
@@ -448,48 +387,8 @@ Status VerifyCounterPages(const ParsedSnapshot& parsed) {
   return Status::OK();
 }
 
-Status ApplyDeltaToPlane(const ParsedSnapshot& delta,
-                         std::vector<double>* plane) {
-  const PagedHeader& header = delta.header;
-  if (!header.is_delta()) {
-    return Status::InvalidArgument("ApplyDeltaToPlane on a full snapshot");
-  }
-  if (plane->size() != header.counter_doubles) {
-    return Status::InvalidArgument(
-        "delta for epoch " + std::to_string(header.epoch) + " covers " +
-        std::to_string(header.counter_doubles) + " doubles but the base has " +
-        std::to_string(plane->size()));
-  }
-  uint32_t have = PlaneCrc(plane->data(), plane->size());
-  if (have != header.base_plane_crc) {
-    return Status::Corruption(
-        "delta for epoch " + std::to_string(header.epoch) +
-        " was built against epoch " + std::to_string(header.base_epoch) +
-        " (plane crc " + std::to_string(header.base_plane_crc) +
-        ") but the supplied base hashes to " + std::to_string(have) +
-        " — stale or wrong base");
-  }
-  char* plane_bytes = reinterpret_cast<char*>(plane->data());
-  for (const ParsedPage& page : delta.counter_pages) {
-    size_t begin = static_cast<size_t>(page.entry.page_id) * kPagedPageSize;
-    std::memcpy(plane_bytes + begin, page.payload.data(),
-                page.payload.size());
-  }
-  uint32_t result = PlaneCrc(plane->data(), plane->size());
-  if (result != header.plane_crc) {
-    return Status::Corruption("plane after applying delta for epoch " +
-                              std::to_string(header.epoch) +
-                              " fails its checksum — damaged delta pages");
-  }
-  return Status::OK();
-}
-
 Status ExtractFullPlane(const ParsedSnapshot& full,
                         std::vector<double>* plane) {
-  if (full.header.is_delta()) {
-    return Status::InvalidArgument(
-        "cannot extract a full plane from a delta snapshot");
-  }
   plane->assign(full.header.counter_doubles, 0.0);
   char* plane_bytes = reinterpret_cast<char*>(plane->data());
   for (const ParsedPage& page : full.counter_pages) {
@@ -499,8 +398,8 @@ Status ExtractFullPlane(const ParsedSnapshot& full,
   }
   uint32_t crc = PlaneCrc(plane->data(), plane->size());
   if (crc != full.header.plane_crc) {
-    return Status::Corruption("full snapshot plane fails its checksum "
-                              "after reassembly");
+    return Status::Corruption("snapshot plane fails its checksum after "
+                              "reassembly");
   }
   return Status::OK();
 }

@@ -18,36 +18,36 @@ namespace sketchtree {
 /// counter. v3 instead lays the synopsis out in 4 KiB page-aligned
 /// blocks behind an explicit directory:
 ///
-///   page 0        fixed header (magic "SKP3", epoch, chain stamps,
+///   page 0        fixed header (magic "SKP3", epoch, plane CRC,
 ///                 directory location, header CRC)
 ///   pages 1..d    page directory: one 24-byte entry per payload page
 ///                 {page_id, kind, file_offset, payload_length, crc}
 ///   meta pages    the SerializeMetaToString blob, split into pages
 ///   cursor pages  an optional caller blob (a build's stream cursor),
 ///                 opaque to the store, split into pages like meta
-///   counter pages the counter plane, 512 doubles per page, written
-///                 consecutively at page-aligned offsets
+///   counter pages the whole counter plane, 512 doubles per page,
+///                 written consecutively at page-aligned offsets
 ///
 /// Every payload page carries its own CRC-32, so corruption is typed at
-/// page granularity ("counter page 17 checksum mismatch") and a mapped
-/// reader can verify lazily. Full snapshots keep the counter pages
-/// contiguous and raw little-endian, which makes the mapped file's
-/// counter region directly usable as the synopsis's counter plane —
-/// the zero-copy warm-restart path. Delta snapshots (flag bit 0)
-/// carry only the pages that changed since `base_epoch`, stamped with
-/// the base plane's CRC so replay onto the wrong base is refused as
-/// Corruption rather than producing silently wrong counts.
+/// page granularity ("counter page 17 checksum mismatch"), and a mapped
+/// reader checks them in place before attaching. The counter pages are contiguous and raw
+/// little-endian, which makes the mapped file's counter region directly
+/// usable as the synopsis's counter plane — the zero-copy warm-restart
+/// path.
+///
+/// Every image is a full snapshot. The header keeps the slots of the
+/// retired delta images (a flag word, a base epoch, a base plane CRC and
+/// a chain depth) and writes them as zero; an image with any of them set
+/// is refused as InvalidArgument.
 ///
 /// This layer works on byte images only; SynopsisStore (synopsis_store.h)
-/// owns files, chains, and the SketchTree round trip.
+/// owns files, epochs, and the SketchTree round trip.
 
 inline constexpr uint32_t kPagedMagic = 0x53'4B'50'33;  // "SKP3".
 inline constexpr uint32_t kPagedVersion = 3;
 inline constexpr uint32_t kPagedPageSize = 4096;
 /// Doubles per counter page (kPagedPageSize / sizeof(double)).
 inline constexpr size_t kPagedDoublesPerPage = kPagedPageSize / sizeof(double);
-/// Header flag: the file is a counter-diff delta against base_epoch.
-inline constexpr uint32_t kPagedFlagDelta = 1u << 0;
 /// Serialized bytes of the fixed header (the tail of page 0 is zero).
 inline constexpr size_t kPagedHeaderBytes = 100;
 /// Serialized bytes of one directory entry.
@@ -60,20 +60,14 @@ enum class PageKind : uint32_t {
 };
 
 /// Fixed header, page 0. `header_crc` covers the preceding 96 bytes.
+/// The retired delta slots (flags, base epoch, base plane CRC, chain
+/// depth) are not fields: they are written as zero and must read as zero.
 struct PagedHeader {
-  uint32_t flags = 0;
   uint64_t epoch = 0;
   uint64_t trees_processed = 0;
-  /// Delta chaining: the epoch this delta patches, and the CRC-32 of
-  /// that epoch's *materialized full plane bytes* — the stamp that
-  /// detects replay onto a stale or wrong base. Zero for full snapshots.
-  uint64_t base_epoch = 0;
-  uint32_t base_plane_crc = 0;
-  /// CRC-32 of this epoch's materialized full plane bytes (for a delta:
-  /// the plane *after* applying it). Lets replay verify end-to-end.
+  /// CRC-32 of the whole counter plane's bytes, checked after reassembly.
   uint32_t plane_crc = 0;
-  uint64_t counter_doubles = 0;  ///< Full plane length, in doubles.
-  uint32_t chain_depth = 0;      ///< 0 = full snapshot; delta = base + 1.
+  uint64_t counter_doubles = 0;  ///< Plane length, in doubles.
   uint32_t page_count = 0;       ///< Directory entries (meta + counters).
   uint64_t dir_offset = 0;
   uint64_t dir_length = 0;
@@ -82,8 +76,6 @@ struct PagedHeader {
   /// Cursor blob bytes across the cursor pages; 0 (no cursor pages)
   /// encodes exactly like a file written before cursors existed.
   uint32_t cursor_length = 0;
-
-  bool is_delta() const { return (flags & kPagedFlagDelta) != 0; }
 };
 
 /// One directory entry: where a payload page lives and what guards it.
@@ -104,9 +96,8 @@ struct ParsedPage {
 /// How much of the image ParsePagedSnapshot checksums up front.
 enum class PageVerify {
   /// Header, directory, meta and cursor pages only — counter page CRCs
-  /// are recorded but not computed. The mapped warm-restart path uses
-  /// this so attach cost stays O(meta), then verifies counters lazily
-  /// via VerifyCounterPages (inspect) or materialization.
+  /// are recorded but not computed. `inspect` uses this, then sweeps
+  /// the counters with VerifyCounterPages to name the bad page.
   kMetaOnly,
   /// Everything, counter pages included.
   kAll,
@@ -117,12 +108,10 @@ struct ParsedSnapshot {
   PagedHeader header;
   std::string meta;  ///< Reassembled meta blob (meta_length bytes).
   std::string cursor;  ///< Reassembled cursor blob (cursor_length bytes).
-  /// Counter pages in ascending page_id order. For a full snapshot the
-  /// ids are exactly 0..N-1; for a delta they are the dirty subset.
+  /// Counter pages in ascending page_id order: exactly 0..N-1.
   std::vector<ParsedPage> counter_pages;
   /// True when the counter pages form one contiguous full-plane region
-  /// in the image — the precondition for zero-copy attach. Always false
-  /// for deltas.
+  /// in the image — the precondition for zero-copy attach.
   bool counters_contiguous = false;
   /// Byte offset of that region within the input image (valid only when
   /// counters_contiguous). Page-aligned, so the doubles are too.
@@ -133,37 +122,17 @@ struct ParsedSnapshot {
 /// CLI uses to route --synopsis files between the v2 and v3 loaders.
 bool IsPagedSnapshot(std::string_view bytes);
 
-/// CRC-32 over the raw bytes of a counter plane — the chain stamp.
-uint32_t PlaneCrc(const double* plane, size_t count);
-
-/// Encodes a full (chain-depth-0) snapshot image: every counter page,
-/// contiguous, plus the meta blob and the (possibly empty) cursor blob.
+/// Encodes a snapshot image: every counter page, contiguous, plus the
+/// meta blob and the (possibly empty) cursor blob.
 std::string EncodeFullSnapshotImage(std::string_view meta,
                                     const double* plane, size_t plane_doubles,
                                     uint64_t epoch, uint64_t trees_processed,
                                     std::string_view cursor = {});
 
-/// Encodes a delta image: only the counter pages on which `plane`
-/// differs from `base_plane` (same length), stamped with the base's
-/// epoch and plane CRC. `chain_depth` is the delta's own depth
-/// (base depth + 1). The full meta and cursor blobs ride along — they
-/// are small and change every epoch. Consults kStoreStaleDeltaBase,
-/// which corrupts the base stamp to simulate a delta published against
-/// a base that was since rewritten.
-std::string EncodeDeltaSnapshotImage(std::string_view meta,
-                                     const double* plane,
-                                     const double* base_plane,
-                                     size_t plane_doubles, uint64_t epoch,
-                                     uint64_t trees_processed,
-                                     uint64_t base_epoch,
-                                     uint32_t base_plane_crc,
-                                     uint32_t chain_depth,
-                                     std::string_view cursor = {});
-
 /// Validates and indexes a v3 image. InvalidArgument for wrong
-/// magic/version, OutOfRange for an image too short to hold what the
-/// header promises, Corruption — naming the page index — for any
-/// checksum or structural mismatch.
+/// magic/version or a delta image, OutOfRange for an image too short to
+/// hold what the header promises, Corruption — naming the page index —
+/// for any checksum or structural mismatch.
 Result<ParsedSnapshot> ParsePagedSnapshot(std::string_view bytes,
                                           PageVerify verify);
 
@@ -172,15 +141,8 @@ Result<ParsedSnapshot> ParsePagedSnapshot(std::string_view bytes,
 /// page index.
 Status VerifyCounterPages(const ParsedSnapshot& parsed);
 
-/// Patches `plane` (the materialized base plane, counter_doubles long)
-/// with a delta's dirty pages, after verifying the base stamp against
-/// the plane's actual CRC; verifies the result against the delta's
-/// plane_crc. On success `plane` holds the delta epoch's plane.
-Status ApplyDeltaToPlane(const ParsedSnapshot& delta,
-                         std::vector<double>* plane);
-
-/// Extracts a full snapshot's counter plane into `plane` (resized).
-/// Fails on deltas — those must be materialized through their chain.
+/// Extracts a snapshot's counter plane into `plane` (resized) and checks
+/// it against the header's plane CRC.
 Status ExtractFullPlane(const ParsedSnapshot& full, std::vector<double>* plane);
 
 }  // namespace sketchtree

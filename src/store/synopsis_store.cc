@@ -19,19 +19,14 @@ namespace {
 
 constexpr char kEpochPrefix[] = "epoch-";
 constexpr char kEpochSuffix[] = ".sks3";
-/// Backstop against corrupted chain_depth fields sending the chain walk
-/// on an epoch-by-epoch crawl through the whole directory.
-constexpr size_t kMaxChainWalk = 64;
 
 /// Store health instrumentation; store.epochs_skipped is the one to
 /// alert on — it means an on-disk epoch failed page validation and the
 /// loader degraded to an older one.
 struct StoreMetrics {
   Counter* persist_full;
-  Counter* persist_delta;
   Counter* persist_errors;
   Counter* bytes_written;
-  Counter* counter_pages_written;
   Counter* loads_mapped;
   Counter* loads_materialized;
   Counter* mmap_fallbacks;
@@ -43,10 +38,8 @@ struct StoreMetrics {
 StoreMetrics& Metrics() {
   static StoreMetrics metrics{
       GlobalMetrics().GetCounter("store.persist_full"),
-      GlobalMetrics().GetCounter("store.persist_delta"),
       GlobalMetrics().GetCounter("store.persist_errors"),
       GlobalMetrics().GetCounter("store.bytes_written"),
-      GlobalMetrics().GetCounter("store.counter_pages_written"),
       GlobalMetrics().GetCounter("store.loads_mapped"),
       GlobalMetrics().GetCounter("store.loads_materialized"),
       GlobalMetrics().GetCounter("store.mmap_fallbacks"),
@@ -97,9 +90,26 @@ Status AnnotateEpoch(const Status& status, uint64_t epoch) {
   }
 }
 
-/// Validation failures the loader degrades past; I/O and missing files
-/// also end an epoch's candidacy, so everything non-OK skips.
-bool ShouldSkipEpoch(const Status& status) { return !status.ok(); }
+/// The second half of the load rule: read the file, check every page
+/// and build the synopsis in owned memory.
+Result<LoadedSynopsis> MaterializeFile(const std::string& path) {
+  Result<std::string> bytes = ReadFileToString(path);
+  if (!bytes.ok()) return bytes.status();
+  Result<ParsedSnapshot> parsed_or =
+      ParsePagedSnapshot(bytes.value(), PageVerify::kAll);
+  if (!parsed_or.ok()) return parsed_or.status();
+  const ParsedSnapshot& parsed = parsed_or.value();
+  std::vector<double> plane;
+  SKETCHTREE_RETURN_NOT_OK(ExtractFullPlane(parsed, &plane));
+  Result<SketchTree> sketch = SketchTree::FromMetaAndCounters(
+      parsed.meta, plane.data(), plane.size(), /*attach=*/false);
+  if (!sketch.ok()) return sketch.status();
+  Metrics().loads_materialized->Increment();
+  LoadedSynopsis loaded(std::move(sketch).value(), parsed.header.epoch,
+                        /*mapped=*/false, nullptr);
+  loaded.cursor = parsed.cursor;
+  return loaded;
+}
 
 }  // namespace
 
@@ -110,9 +120,6 @@ StoreEpochInfo DescribeSnapshot(const ParsedSnapshot& parsed,
   info.epoch = header.epoch;
   info.path = std::move(path);
   info.file_bytes = file_bytes;
-  info.is_delta = header.is_delta();
-  info.base_epoch = header.base_epoch;
-  info.chain_depth = header.chain_depth;
   info.trees_processed = header.trees_processed;
   info.page_count = header.page_count;
   info.counter_pages = static_cast<uint32_t>(parsed.counter_pages.size());
@@ -120,13 +127,6 @@ StoreEpochInfo DescribeSnapshot(const ParsedSnapshot& parsed,
       (header.meta_length + kPagedPageSize - 1) / kPagedPageSize);
   info.cursor_bytes = header.cursor_length;
   info.counter_doubles = header.counter_doubles;
-  uint64_t plane_pages =
-      (header.counter_doubles * sizeof(double) + kPagedPageSize - 1) /
-      kPagedPageSize;
-  info.dirty_ratio = plane_pages == 0
-                         ? 0.0
-                         : static_cast<double>(info.counter_pages) /
-                               static_cast<double>(plane_pages);
   info.page_verdict = VerifyCounterPages(parsed);
   return info;
 }
@@ -189,24 +189,9 @@ Status SynopsisStore::Persist(const SketchTree& sketch, uint64_t epoch,
   size_t doubles = sketch.CounterPlaneDoubles();
   std::vector<double> plane(doubles);
   sketch.CopyCounterPlane(plane.data());
-  std::string meta = sketch.SerializeMetaToString();
-  uint64_t trees = sketch.Stats().trees_processed;
-
-  bool as_delta = options_.delta_max_chain > 0 && last_epoch_ != 0 &&
-                  last_epoch_ == newest_epoch_ &&
-                  last_plane_.size() == plane.size() &&
-                  last_chain_depth_ + 1 <=
-                      static_cast<uint32_t>(options_.delta_max_chain);
-  std::string image;
-  if (as_delta) {
-    image = EncodeDeltaSnapshotImage(meta, plane.data(), last_plane_.data(),
-                                     doubles, epoch, trees, last_epoch_,
-                                     last_plane_crc_, last_chain_depth_ + 1,
-                                     cursor);
-  } else {
-    image = EncodeFullSnapshotImage(meta, plane.data(), doubles, epoch, trees,
-                                    cursor);
-  }
+  std::string image = EncodeFullSnapshotImage(
+      sketch.SerializeMetaToString(), plane.data(), doubles, epoch,
+      sketch.Stats().trees_processed, cursor);
   size_t image_bytes = image.size();
 
   uint64_t keep = 0;
@@ -224,29 +209,25 @@ Status SynopsisStore::Persist(const SketchTree& sketch, uint64_t epoch,
     Metrics().persist_errors->Increment();
     return status;
   }
-  (as_delta ? Metrics().persist_delta : Metrics().persist_full)->Increment();
+  Metrics().persist_full->Increment();
   Metrics().bytes_written->Increment(image_bytes);
 
-  if (!as_delta) {
-    // Keep the superseded chain as the fallback in case this full write
-    // is torn; only what precedes it goes. A writer that has not
-    // persisted yet learns that chain from the headers on disk, and an
-    // unreadable newest epoch defers pruning to the next full write.
-    uint64_t superseded = chain_base_;
-    if (last_epoch_ == 0 && newest_epoch_ != 0) {
-      Result<uint64_t> base = ChainBase(newest_epoch_);
-      superseded = base.ok() ? *base : 0;
+  // Keep the predecessor as the fallback in case this write is torn;
+  // only what precedes it goes. The writer trusts its own writes (a
+  // genuinely torn write looks successful too; the loader's page
+  // validation catches the tear), but the epoch found at Open must read
+  // back with every page intact first, or pruning waits for the next
+  // write.
+  uint64_t predecessor = newest_epoch_;
+  if (predecessor != 0 && !wrote_newest_) {
+    std::string buffer;
+    if (!ReadEpoch(predecessor, PageVerify::kAll, &buffer).ok()) {
+      predecessor = 0;
     }
-    PruneBelow(superseded);
-    chain_base_ = epoch;
   }
-  // The writer believes the write succeeded (a genuinely torn write
-  // would too); the loader's page validation is what catches the tear.
-  last_plane_crc_ = PlaneCrc(plane.data(), plane.size());
-  last_plane_ = std::move(plane);
-  last_epoch_ = epoch;
-  last_chain_depth_ = as_delta ? last_chain_depth_ + 1 : 0;
+  PruneBelow(predecessor);
   newest_epoch_ = epoch;
+  wrote_newest_ = true;
   return Status::OK();
 }
 
@@ -282,76 +263,9 @@ Result<StoreEpochInfo> SynopsisStore::InspectEpoch(uint64_t epoch) const {
 }
 
 Result<SketchTree> SynopsisStore::MaterializeEpoch(uint64_t epoch) const {
-  return Materialize(epoch, nullptr);
-}
-
-Result<SketchTree> SynopsisStore::Materialize(uint64_t epoch,
-                                              std::string* cursor) const {
-  // Walk the chain newest-to-oldest until a full snapshot anchors it.
-  std::vector<std::unique_ptr<std::string>> buffers;
-  std::vector<ParsedSnapshot> chain;
-  uint64_t current = epoch;
-  while (true) {
-    if (chain.size() >= kMaxChainWalk) {
-      return Status::Corruption("delta chain from epoch " +
-                                std::to_string(epoch) + " exceeds " +
-                                std::to_string(kMaxChainWalk) + " links");
-    }
-    buffers.push_back(std::make_unique<std::string>());
-    Result<ParsedSnapshot> parsed =
-        ReadEpoch(current, PageVerify::kAll, buffers.back().get());
-    if (!parsed.ok()) return parsed.status();
-    bool is_delta = parsed.value().header.is_delta();
-    uint64_t base = parsed.value().header.base_epoch;
-    chain.push_back(std::move(parsed).value());
-    if (!is_delta) break;
-    if (base >= current) {
-      return Status::Corruption("epoch " + std::to_string(current) +
-                                " claims base epoch " + std::to_string(base) +
-                                ", which does not precede it");
-    }
-    current = base;
-  }
-
-  std::vector<double> plane;
-  Status status = ExtractFullPlane(chain.back(), &plane);
-  if (!status.ok()) {
-    return AnnotateEpoch(status, chain.back().header.epoch);
-  }
-  for (size_t i = chain.size() - 1; i-- > 0;) {
-    status = ApplyDeltaToPlane(chain[i], &plane);
-    if (!status.ok()) return AnnotateEpoch(status, chain[i].header.epoch);
-  }
-  Metrics().loads_materialized->Increment();
-  if (cursor != nullptr) *cursor = chain.front().cursor;
-  return SketchTree::FromMetaAndCounters(chain.front().meta, plane.data(),
-                                         plane.size(), /*attach=*/false);
-}
-
-Result<LoadedSynopsis> SynopsisStore::TryMapAttach(uint64_t epoch) const {
-  Result<MmapFile> mapped = MmapFile::Map(EpochPath(epoch));
-  if (!mapped.ok()) return AnnotateEpoch(mapped.status(), epoch);
-  auto mapping = std::make_shared<MmapFile>(std::move(mapped).value());
-
-  Result<ParsedSnapshot> parsed_or =
-      ParsePagedSnapshot(mapping->view(), PageVerify::kMetaOnly);
-  if (!parsed_or.ok()) return AnnotateEpoch(parsed_or.status(), epoch);
-  const ParsedSnapshot& parsed = parsed_or.value();
-  if (parsed.header.is_delta() || !parsed.counters_contiguous) {
-    return Status::InvalidArgument(
-        "epoch " + std::to_string(epoch) +
-        " is not a contiguous full snapshot; mmap attach needs one");
-  }
-  const double* plane = reinterpret_cast<const double*>(
-      mapping->data() + parsed.counters_offset);
-  Result<SketchTree> sketch = SketchTree::FromMetaAndCounters(
-      parsed.meta, plane, parsed.header.counter_doubles, /*attach=*/true);
-  if (!sketch.ok()) return AnnotateEpoch(sketch.status(), epoch);
-  Metrics().loads_mapped->Increment();
-  LoadedSynopsis loaded(std::move(sketch).value(), epoch, /*mapped=*/true,
-                        std::move(mapping));
-  loaded.cursor = parsed.cursor;
-  return loaded;
+  Result<LoadedSynopsis> loaded = MaterializeFile(EpochPath(epoch));
+  if (!loaded.ok()) return AnnotateEpoch(loaded.status(), epoch);
+  return std::move(loaded.value().sketch);
 }
 
 Result<LoadedSynopsis> SynopsisStore::LoadNewest() const {
@@ -363,54 +277,18 @@ Result<LoadedSynopsis> SynopsisStore::LoadNewest() const {
   Status last_error = Status::OK();
   for (size_t i = epochs.size(); i-- > 0;) {
     uint64_t epoch = epochs[i];
-    if (options_.use_mmap) {
-      Result<LoadedSynopsis> attached = TryMapAttach(epoch);
-      if (attached.ok()) return attached;
-      // Deltas and failed maps fall back to materialization; only an
-      // outright validation failure skips the epoch, and even then the
-      // materialize path gets its say (it may replay a chain whose
-      // *mapped* parse failed on a meta page the chain never needs).
-      if (attached.status().IsIOError()) {
-        Metrics().mmap_fallbacks->Increment();
-      }
-    }
-    std::string cursor;
-    Result<SketchTree> materialized = Materialize(epoch, &cursor);
-    if (materialized.ok()) {
-      LoadedSynopsis loaded(std::move(materialized).value(), epoch,
-                            /*mapped=*/false, nullptr);
-      loaded.cursor = std::move(cursor);
+    Result<LoadedSynopsis> loaded =
+        LoadPagedSnapshotFile(EpochPath(epoch), options_.use_mmap);
+    if (loaded.ok()) {
+      loaded.value().epoch = epoch;
       return loaded;
     }
-    if (ShouldSkipEpoch(materialized.status())) {
-      Metrics().epochs_skipped->Increment();
-      last_error = materialized.status();
-    }
+    Metrics().epochs_skipped->Increment();
+    last_error = AnnotateEpoch(loaded.status(), epoch);
   }
   return Status::NotFound(
       "no epoch in store '" + directory_ + "' validates; newest failure: " +
       last_error.ToString());
-}
-
-Result<uint64_t> SynopsisStore::ChainBase(uint64_t epoch) const {
-  uint64_t current = epoch;
-  for (size_t walked = 0; walked < kMaxChainWalk; ++walked) {
-    std::string buffer;
-    Result<ParsedSnapshot> parsed =
-        ReadEpoch(current, PageVerify::kMetaOnly, &buffer);
-    if (!parsed.ok()) return parsed.status();
-    if (!parsed.value().header.is_delta()) return current;
-    uint64_t base = parsed.value().header.base_epoch;
-    if (base >= current) {
-      return Status::Corruption("epoch " + std::to_string(current) +
-                                " claims base epoch " + std::to_string(base) +
-                                ", which does not precede it");
-    }
-    current = base;
-  }
-  return Status::Corruption("delta chain from epoch " + std::to_string(epoch) +
-                            " exceeds " + std::to_string(kMaxChainWalk) +
-                            " links");
 }
 
 Result<LoadedSynopsis> LoadPagedSnapshotFile(const std::string& path,
@@ -420,9 +298,8 @@ Result<LoadedSynopsis> LoadPagedSnapshotFile(const std::string& path,
     if (mapped.ok()) {
       auto mapping = std::make_shared<MmapFile>(std::move(mapped).value());
       Result<ParsedSnapshot> parsed_or =
-          ParsePagedSnapshot(mapping->view(), PageVerify::kMetaOnly);
-      if (parsed_or.ok() && !parsed_or.value().header.is_delta() &&
-          parsed_or.value().counters_contiguous) {
+          ParsePagedSnapshot(mapping->view(), PageVerify::kAll);
+      if (parsed_or.ok() && parsed_or.value().counters_contiguous) {
         const ParsedSnapshot& parsed = parsed_or.value();
         const double* plane = reinterpret_cast<const double*>(
             mapping->data() + parsed.counters_offset);
@@ -431,39 +308,20 @@ Result<LoadedSynopsis> LoadPagedSnapshotFile(const std::string& path,
             /*attach=*/true);
         if (sketch.ok()) {
           Metrics().loads_mapped->Increment();
-          return LoadedSynopsis(std::move(sketch).value(),
+          LoadedSynopsis loaded(std::move(sketch).value(),
                                 parsed.header.epoch, /*mapped=*/true,
                                 std::move(mapping));
+          loaded.cursor = parsed.cursor;
+          return loaded;
         }
       }
-      // Anything short of a clean attach falls through to the portable
-      // path, whose typed errors are final.
+      // Anything short of a clean attach (a bad page CRC included)
+      // falls through to the portable path, whose typed errors are
+      // final.
     }
     Metrics().mmap_fallbacks->Increment();
   }
-
-  Result<std::string> bytes = ReadFileToString(path);
-  if (!bytes.ok()) return bytes.status();
-  std::string buffer = std::move(bytes).value();
-  Result<ParsedSnapshot> parsed_or =
-      ParsePagedSnapshot(buffer, PageVerify::kAll);
-  if (!parsed_or.ok()) return parsed_or.status();
-  const ParsedSnapshot& parsed = parsed_or.value();
-  if (parsed.header.is_delta()) {
-    return Status::InvalidArgument(
-        "'" + path + "' is a delta snapshot (base epoch " +
-        std::to_string(parsed.header.base_epoch) +
-        "); load it through its store directory");
-  }
-  std::vector<double> plane;
-  Status status = ExtractFullPlane(parsed, &plane);
-  if (!status.ok()) return status;
-  Result<SketchTree> sketch = SketchTree::FromMetaAndCounters(
-      parsed.meta, plane.data(), plane.size(), /*attach=*/false);
-  if (!sketch.ok()) return sketch.status();
-  Metrics().loads_materialized->Increment();
-  return LoadedSynopsis(std::move(sketch).value(), parsed.header.epoch,
-                        /*mapped=*/false, nullptr);
+  return MaterializeFile(path);
 }
 
 }  // namespace sketchtree

@@ -15,14 +15,9 @@
 namespace sketchtree {
 
 struct SynopsisStoreOptions {
-  /// Deltas allowed on a chain before the next publish rewrites a full
-  /// snapshot (and prunes the chain before the superseded one). 0 =
-  /// always write full.
-  size_t delta_max_chain = 8;
-  /// Map full snapshots read-only and attach their counter pages
-  /// zero-copy on load (header, directory, meta and cursor pages are
-  /// verified eagerly; counter CRCs lazily, so warm restart stays
-  /// O(meta)). Off = always materialize through owned memory (the
+  /// Map snapshots read-only and attach their counter pages
+  /// zero-copy on load, after checking every page's CRC on the mapped
+  /// bytes. Off = always materialize through owned memory (the
   /// --no-mmap escape hatch, and what a resuming build uses).
   bool use_mmap = true;
 };
@@ -33,18 +28,12 @@ struct StoreEpochInfo {
   uint64_t epoch = 0;
   std::string path;
   uint64_t file_bytes = 0;
-  bool is_delta = false;
-  uint64_t base_epoch = 0;
-  uint32_t chain_depth = 0;
   uint64_t trees_processed = 0;
   uint32_t page_count = 0;  ///< Directory entries (meta + cursor + counter).
   uint32_t meta_pages = 0;
-  uint32_t counter_pages = 0;  ///< Full: whole plane. Delta: dirty pages.
+  uint32_t counter_pages = 0;  ///< The whole plane's pages.
   uint32_t cursor_bytes = 0;   ///< The caller cursor's length (0 = none).
   uint64_t counter_doubles = 0;
-  /// counter_pages / pages-in-a-full-plane: 1.0 for a full snapshot,
-  /// the dirty-page ratio for a delta.
-  double dirty_ratio = 0.0;
   /// OK, or the first per-page CRC failure (named by page index).
   Status page_verdict;
 };
@@ -78,19 +67,16 @@ struct LoadedSynopsis {
 /// A directory of v3 paged snapshot files, one per published epoch
 /// (`epoch-<N>.sks3`), plus the persisted plan cache (`plans.skpc`).
 ///
-/// Write side: Persist() encodes the live synopsis as a full snapshot
-/// or — when the previous epoch is on disk and the chain is short
-/// enough — as a counter-diff delta against it. A full write prunes
-/// only the epochs older than the chain it supersedes, so the directory
-/// holds at most two chains: the newest, and the one before it as the
-/// fallback should the newest full write turn out torn.
+/// Write side: Persist() writes the live synopsis as a full snapshot,
+/// then prunes everything older than the epoch before it: the directory
+/// holds the newest epoch and its predecessor, the fallback should the
+/// newest write turn out torn.
 ///
-/// Read side: LoadNewest() walks epochs newest-first and returns the
-/// first one that validates, preferring the zero-copy mmap attach for
-/// full snapshots and falling back to materialization (and to older
-/// epochs on typed corruption). MaterializeEpoch() replays a delta
-/// chain into owned memory and is byte-exact: the resulting plane is
-/// identical to the full snapshot of the same epoch.
+/// Read side: every epoch file has one load rule (LoadPagedSnapshotFile):
+/// map it and attach its counter pages zero-copy when they are
+/// contiguous, otherwise read it, check every page and materialize it.
+/// LoadNewest() walks epochs newest-first and returns the first one that
+/// loads, degrading past typed corruption to older epochs.
 ///
 /// Each epoch may carry an opaque caller cursor (a build's stream
 /// position), CRC'd like every page and returned by LoadNewest, so a
@@ -113,10 +99,10 @@ class SynopsisStore {
   std::string PlanCachePath() const { return directory_ + "/plans.skpc"; }
 
   /// Persists `sketch` as epoch `epoch` (must exceed the newest epoch
-  /// on disk), with `cursor` stored verbatim beside it. Full-or-delta
-  /// policy is internal; consult the metrics (store.persist_full /
-  /// store.persist_delta) or inspect to see which was chosen. Consults
-  /// kStoreTornPageWrite, which truncates the encoded image before the
+  /// on disk), with `cursor` stored verbatim beside it, and prunes the
+  /// epochs older than its predecessor. A predecessor this writer did
+  /// not persist itself must read back first, or pruning waits for the
+  /// next write. Consults kStoreTornPageWrite, which truncates the encoded image before the
   /// atomic write — the loader must then skip the epoch as Corruption.
   Status Persist(const SketchTree& sketch, uint64_t epoch,
                  std::string_view cursor = {});
@@ -132,27 +118,20 @@ class SynopsisStore {
   /// The per-page CRC sweep fills `page_verdict`.
   Result<StoreEpochInfo> InspectEpoch(uint64_t epoch) const;
 
-  /// Rebuilds epoch `epoch` in owned memory, replaying its delta chain
-  /// down to the underlying full snapshot with every page CRC checked.
-  /// Typed failures: NotFound (no such epoch / broken chain link),
-  /// Corruption (any page or chain-stamp mismatch), IOError.
+  /// Rebuilds epoch `epoch` in owned memory with every page CRC
+  /// checked. Typed failures: NotFound (no such epoch), Corruption (any
+  /// page mismatch), InvalidArgument (a delta image), IOError.
   Result<SketchTree> MaterializeEpoch(uint64_t epoch) const;
 
-  /// Loads the newest epoch that validates, newest-first. Full
-  /// snapshots attach zero-copy via mmap when enabled (falling back to
-  /// materialization if the map attempt fails); deltas always
-  /// materialize. Epochs that fail typed validation are skipped — the
-  /// store degrades to the newest intact state rather than crashing.
-  /// NotFound when no epoch validates.
+  /// Loads the newest epoch that validates, newest-first, each by
+  /// LoadPagedSnapshotFile's rule (mapped when enabled). Epochs that
+  /// fail typed validation are skipped — the store degrades to the
+  /// newest intact state rather than crashing. NotFound when no epoch
+  /// validates.
   Result<LoadedSynopsis> LoadNewest() const;
 
   /// File name for an epoch ("epoch-<N>.sks3").
   static std::string EpochFileName(uint64_t epoch);
-
-  /// The full-snapshot file a delta chain of `epoch` bottoms out in, or
-  /// the epoch itself when it is full — chain introspection for
-  /// `inspect --store`. Reads headers only.
-  Result<uint64_t> ChainBase(uint64_t epoch) const;
 
  private:
   SynopsisStore(std::string directory, const SynopsisStoreOptions& options)
@@ -163,36 +142,24 @@ class SynopsisStore {
   /// the parsed views alias.
   Result<ParsedSnapshot> ReadEpoch(uint64_t epoch, PageVerify verify,
                                    std::string* buffer) const;
-  /// MaterializeEpoch, also returning the epoch's cursor.
-  Result<SketchTree> Materialize(uint64_t epoch, std::string* cursor) const;
-  /// Attempts the zero-copy path for one epoch. Statuses bubble up so
-  /// LoadNewest can decide between materializing and skipping.
-  Result<LoadedSynopsis> TryMapAttach(uint64_t epoch) const;
   void PruneBelow(uint64_t epoch);
 
   std::string directory_;
   SynopsisStoreOptions options_;
   uint64_t newest_epoch_ = 0;
-
-  // Delta-chain write state: the plane of the last epoch this process
-  // persisted, against which the next Persist may diff. Empty after a
-  // restart, so the first persisted epoch of a process is always full —
-  // chains never span writer restarts.
-  std::vector<double> last_plane_;
-  uint32_t last_plane_crc_ = 0;
-  uint64_t last_epoch_ = 0;
-  uint32_t last_chain_depth_ = 0;
-  // Full epoch that anchors the chain of last_epoch_ — what the next
-  // full write supersedes. Meaningful only once last_epoch_ != 0.
-  uint64_t chain_base_ = 0;
+  /// True once this writer has persisted newest_epoch_ itself; until
+  /// then the epoch found at Open must read back before it may anchor a
+  /// prune.
+  bool wrote_newest_ = false;
 };
 
-/// Loads one standalone v3 paged snapshot *file* (`serve --synopsis`
-/// pointed at a store epoch file). A full snapshot attaches zero-copy
-/// via mmap when `use_mmap` — with the portable read-and-materialize
-/// fallback when the map fails — and materializes otherwise. Delta
-/// files are refused as InvalidArgument: their base lives in the store
-/// directory, so they must be loaded through SynopsisStore.
+/// Loads one v3 paged snapshot file — a store epoch, or `serve
+/// --synopsis` pointed at one. With `use_mmap` the file is mapped and
+/// its contiguous counter pages attached zero-copy once every page's CRC
+/// checks out on the mapped bytes; anything short of a clean attach, and
+/// every load without `use_mmap`, reads the file, checks every page and
+/// materializes it in owned memory.
+/// Delta images of older stores are refused as InvalidArgument.
 Result<LoadedSynopsis> LoadPagedSnapshotFile(const std::string& path,
                                              bool use_mmap);
 

@@ -84,8 +84,7 @@ class TopKTracker {
   Status RestoreTracked(uint64_t v, double freq);
 
   /// Drops every tracked entry WITHOUT touching the sketches — the
-  /// companion to RestoreTracked when meta state is re-loaded into a
-  /// synopsis that already holds entries (delta-epoch application).
+  /// companion to RestoreTracked, run before meta state is loaded.
   void ClearTracked() {
     frequencies_.clear();
     heap_.clear();

@@ -16,11 +16,13 @@
 #include <vector>
 
 #include "cluster/shard_client.h"
+#include "common/base64.h"
 #include "core/sketch_tree.h"
 #include "faultinject/fault_injector.h"
 #include "metrics/metrics.h"
 #include "server/query_service.h"
 #include "server/tcp_server.h"
+#include "server/wire.h"
 #include "trace/trace.h"
 #include "tree/tree_serialization.h"
 
@@ -181,6 +183,60 @@ TEST(ClusterTest, ScatterMatchesMergedBitExact) {
     // scale — the proof is exact; everything estimated carries the
     // Theorem-1 scale.
     if (expected != 0.0) EXPECT_GT(scatter->error_scale, 0.0);
+  }
+}
+
+// An older coordinator asks for a delta by naming its cached epoch in
+// `base_epoch`. Workers ignore the field and answer with the full
+// serialized synopsis, so a merge of such pulls is still bit-exact.
+TEST(ClusterTest, ShardSnapshotWithBaseEpochAnswersInFull) {
+  std::vector<Worker> workers;
+  for (int i = 0; i < 3; ++i) workers.push_back(StartWorker(i));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::optional<SketchTree> pulled_merge;
+  for (int i = 0; i < 3; ++i) {
+    ShardClient client(ShardAddress{"127.0.0.1", workers[i].port});
+    for (int pull = 0; pull < 2; ++pull) {
+      Result<std::string> reply = client.Call(
+          R"({"op":"shard_snapshot","id":7,"base_epoch":1})", deadline);
+      ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+      EXPECT_EQ(reply->find("\"format\""), std::string::npos) << *reply;
+      Result<std::string> base64 = JsonFieldString(*reply, "sketch");
+      ASSERT_TRUE(base64.ok()) << *reply;
+      Result<std::string> bytes = Base64Decode(*base64);
+      ASSERT_TRUE(bytes.ok());
+      Result<SketchTree> pulled = SketchTree::DeserializeFromString(*bytes);
+      ASSERT_TRUE(pulled.ok()) << pulled.status().ToString();
+      EXPECT_EQ(pulled->SerializeToString(),
+                BuildShardSketch(i).SerializeToString());
+      if (pull == 1) {
+        if (pulled_merge) {
+          ASSERT_TRUE(pulled_merge->Merge(*pulled).ok());
+        } else {
+          pulled_merge.emplace(std::move(pulled).value());
+        }
+      }
+    }
+  }
+  Result<QueryService> from_pulls =
+      QueryService::CreateStatic(std::move(pulled_merge).value());
+  ASSERT_TRUE(from_pulls.ok());
+  Result<QueryService> reference = MergedReference({0, 1, 2});
+  ASSERT_TRUE(reference.ok());
+
+  Result<std::unique_ptr<Coordinator>> coordinator =
+      Coordinator::Start(TestCoordinatorOptions(workers));
+  ASSERT_TRUE(coordinator.ok()) << coordinator.status().ToString();
+  // A second refresh is where a delta-mode coordinator would have asked
+  // for dirty pages only.
+  ASSERT_TRUE((*coordinator)->RefreshOnce().ok());
+  for (const QueryCase& q : kQueryMatrix) {
+    Result<QueryAnswer> merged =
+        (*coordinator)->Execute(q.kind, q.text, std::nullopt, "merged");
+    ASSERT_TRUE(merged.ok()) << q.text << ": " << merged.status().ToString();
+    EXPECT_EQ(merged->estimate, Estimate(*from_pulls, q)) << q.text;
+    EXPECT_EQ(merged->estimate, Estimate(*reference, q)) << q.text;
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 
 namespace sketchtree {
 namespace {
@@ -24,6 +25,31 @@ TEST(Crc32Test, IncrementalMatchesOneShot) {
     uint32_t crc = Crc32(data.substr(0, cut));
     crc = Crc32(data.substr(cut), crc);
     EXPECT_EQ(crc, one_shot) << "cut at " << cut;
+  }
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  // The bit-at-a-time definition the table-driven code must reproduce.
+  auto reference = [](std::string_view data) {
+    uint32_t c = 0xFFFFFFFFu;
+    for (char byte : data) {
+      c ^= static_cast<unsigned char>(byte);
+      for (int bit = 0; bit < 8; ++bit) {
+        c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+      }
+    }
+    return c ^ 0xFFFFFFFFu;
+  };
+  std::string buffer(96, '\0');
+  for (size_t i = 0; i < buffer.size(); ++i) {
+    buffer[i] = static_cast<char>(i * 151 + 7);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; offset + length <= buffer.size(); ++length) {
+      std::string_view view(buffer.data() + offset, length);
+      EXPECT_EQ(Crc32(view), reference(view))
+          << "offset " << offset << " length " << length;
+    }
   }
 }
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/atomic_file.h"
+#include "common/crc32.h"
 #include "faultinject/fault_injector.h"
 #include "metrics/metrics.h"
 #include "query/pattern_query.h"
@@ -72,6 +73,23 @@ std::vector<double> Probe(SketchTree& sketch) {
   return estimates;
 }
 
+/// What an older store's delta epoch looks like to today's reader: the
+/// image with the delta flag, a base epoch and a chain depth set in its
+/// header (and the header CRC fixed up, so only those fields differ).
+std::string MarkAsDelta(std::string image, uint64_t base_epoch) {
+  auto put = [&image](size_t offset, uint64_t value, size_t bytes) {
+    for (size_t i = 0; i < bytes; ++i) {
+      image[offset + i] = static_cast<char>((value >> (8 * i)) & 0xFF);
+    }
+  };
+  put(12, 1, 4);           // flags: bit 0 = delta.
+  put(32, base_epoch, 8);  // base_epoch.
+  put(56, 1, 4);           // chain_depth.
+  put(kPagedHeaderBytes - 4,
+      Crc32(std::string_view(image).substr(0, kPagedHeaderBytes - 4)), 4);
+  return image;
+}
+
 class StoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -103,7 +121,6 @@ TEST_F(StoreTest, FullImageParsesAndExtracts) {
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->header.epoch, 7u);
   EXPECT_EQ(parsed->header.trees_processed, 20u);
-  EXPECT_FALSE(parsed->header.is_delta());
   EXPECT_EQ(parsed->header.counter_doubles, plane.size());
   EXPECT_TRUE(parsed->counters_contiguous);
   EXPECT_EQ(parsed->meta, meta);
@@ -114,55 +131,6 @@ TEST_F(StoreTest, FullImageParsesAndExtracts) {
   EXPECT_EQ(std::memcmp(extracted.data(), plane.data(),
                         plane.size() * sizeof(double)),
             0);
-}
-
-TEST_F(StoreTest, DeltaImageCarriesOnlyDirtyPagesAndApplies) {
-  SketchTree sketch = BuildSketch(20, SmallOptions());
-  std::vector<double> base = PlaneOf(sketch);
-  uint32_t base_crc = PlaneCrc(base.data(), base.size());
-
-  sketch.Update(*ParseSExpr("A(B,C)"));  // Touch a few counters.
-  std::vector<double> next = PlaneOf(sketch);
-  std::string meta = sketch.SerializeMetaToString();
-
-  std::string delta = EncodeDeltaSnapshotImage(
-      meta, next.data(), base.data(), next.size(), /*epoch=*/2, /*trees=*/21,
-      /*base_epoch=*/1, base_crc, /*chain_depth=*/1);
-  std::string full = EncodeFullSnapshotImage(meta, next.data(), next.size(),
-                                             /*epoch=*/2, /*trees=*/21);
-  EXPECT_LT(delta.size(), full.size());
-
-  Result<ParsedSnapshot> parsed = ParsePagedSnapshot(delta, PageVerify::kAll);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_TRUE(parsed->header.is_delta());
-  EXPECT_EQ(parsed->header.base_epoch, 1u);
-  EXPECT_EQ(parsed->header.chain_depth, 1u);
-  size_t plane_pages = (next.size() * sizeof(double) + kPagedPageSize - 1) /
-                       kPagedPageSize;
-  EXPECT_LT(parsed->counter_pages.size(), plane_pages);
-
-  std::vector<double> replayed = base;
-  ASSERT_TRUE(ApplyDeltaToPlane(*parsed, &replayed).ok());
-  EXPECT_EQ(std::memcmp(replayed.data(), next.data(),
-                        next.size() * sizeof(double)),
-            0);
-}
-
-TEST_F(StoreTest, DeltaRefusesStaleBase) {
-  SketchTree sketch = BuildSketch(10, SmallOptions());
-  std::vector<double> base = PlaneOf(sketch);
-  uint32_t base_crc = PlaneCrc(base.data(), base.size());
-  sketch.Update(*ParseSExpr("X(Y,Z)"));
-  std::vector<double> next = PlaneOf(sketch);
-  std::string delta = EncodeDeltaSnapshotImage(
-      sketch.SerializeMetaToString(), next.data(), base.data(), next.size(),
-      2, 11, 1, base_crc, 1);
-  Result<ParsedSnapshot> parsed = ParsePagedSnapshot(delta, PageVerify::kAll);
-  ASSERT_TRUE(parsed.ok());
-
-  std::vector<double> wrong_base(base.size(), 0.0);
-  Status applied = ApplyDeltaToPlane(*parsed, &wrong_base);
-  EXPECT_TRUE(applied.IsCorruption()) << applied.ToString();
 }
 
 TEST_F(StoreTest, TruncationAtPageBoundariesIsTyped) {
@@ -212,7 +180,7 @@ TEST_F(StoreTest, CounterPageBitFlipNamesThePage) {
 }
 
 // ---------------------------------------------------------------------------
-// Store: persist / load / delta chains.
+// Store: persist / load / prune.
 
 TEST_F(StoreTest, MmapAndMaterializedLoadsAreBitIdentical) {
   SketchTree sketch = BuildSketch(25, SmallOptions());
@@ -295,71 +263,32 @@ TEST_F(StoreTest, WritingToACopyOfAMappedSynopsisLeavesTheMappingAlone) {
   EXPECT_TRUE(*file_after == *file_before);
 }
 
-TEST_F(StoreTest, DeltaChainMaterializesByteIdenticalToFull) {
-  SketchTreeOptions options = SmallOptions();
-  SketchTree sketch = BuildSketch(10, options);
+TEST_F(StoreTest, PersistKeepsNewestEpochAndItsPredecessor) {
+  SketchTree sketch = BuildSketch(5, SmallOptions());
   Result<SynopsisStore> store = SynopsisStore::Open(DirString());
   ASSERT_TRUE(store.ok());
-  ASSERT_TRUE(store->Persist(sketch, 1).ok());  // Full.
-  for (uint64_t epoch = 2; epoch <= 4; ++epoch) {  // Three deltas.
-    sketch.Update(*ParseSExpr("A(B(D),C)"));
-    sketch.Update(*ParseSExpr("X(Y,Z)"));
+  sketch.Update(*ParseSExpr("A(B,C)"));
+  ASSERT_TRUE(store->Persist(sketch, 1).ok());
+  EXPECT_EQ(store->ListEpochs(), (std::vector<uint64_t>{1}));
+  for (uint64_t epoch = 2; epoch <= 7; ++epoch) {
+    sketch.Update(*ParseSExpr("A(B,C)"));
     ASSERT_TRUE(store->Persist(sketch, epoch).ok());
-  }
-  std::vector<uint64_t> epochs = store->ListEpochs();
-  ASSERT_EQ(epochs.size(), 4u);
-  for (uint64_t epoch = 2; epoch <= 4; ++epoch) {
+    // The new epoch plus its predecessor, the fallback for a torn write.
+    EXPECT_EQ(store->ListEpochs(),
+              (std::vector<uint64_t>{epoch - 1, epoch}));
     Result<StoreEpochInfo> info = store->InspectEpoch(epoch);
     ASSERT_TRUE(info.ok());
-    EXPECT_TRUE(info->is_delta) << "epoch " << epoch;
-    EXPECT_EQ(info->base_epoch, epoch - 1);
-    EXPECT_EQ(info->chain_depth, epoch - 1);
-    EXPECT_LT(info->dirty_ratio, 1.0);
     EXPECT_TRUE(info->page_verdict.ok());
+    EXPECT_EQ(info->counter_doubles, sketch.CounterPlaneDoubles());
+    EXPECT_EQ(info->counter_pages,
+              (info->counter_doubles * sizeof(double) + kPagedPageSize - 1) /
+                  kPagedPageSize);
   }
-  Result<uint64_t> chain_base = store->ChainBase(4);
-  ASSERT_TRUE(chain_base.ok());
-  EXPECT_EQ(*chain_base, 1u);
-
-  // The replayed chain tip is byte-identical to the live plane (which a
-  // full snapshot of epoch 4 would have serialized verbatim).
-  Result<SketchTree> replayed = store->MaterializeEpoch(4);
-  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
-  std::vector<double> live_plane = PlaneOf(sketch);
-  std::vector<double> replayed_plane = PlaneOf(*replayed);
-  ASSERT_EQ(replayed_plane.size(), live_plane.size());
-  EXPECT_EQ(std::memcmp(replayed_plane.data(), live_plane.data(),
-                        live_plane.size() * sizeof(double)),
-            0);
-  EXPECT_EQ(replayed->SerializeToString(), sketch.SerializeToString());
-}
-
-TEST_F(StoreTest, FullRewriteAfterMaxChainPrunesOldEpochs) {
-  SynopsisStoreOptions options;
-  options.delta_max_chain = 2;
-  SketchTree sketch = BuildSketch(5, SmallOptions());
-  Result<SynopsisStore> store = SynopsisStore::Open(DirString(), options);
-  ASSERT_TRUE(store.ok());
-  for (uint64_t epoch = 1; epoch <= 4; ++epoch) {
-    sketch.Update(*ParseSExpr("A(B,C)"));
-    ASSERT_TRUE(store->Persist(sketch, epoch).ok());
-  }
-  // 1 full, 2-3 deltas, 4 full again (chain exhausted). The superseded
-  // chain 1-3 stays as the fallback; nothing precedes it.
-  EXPECT_EQ(store->ListEpochs(), (std::vector<uint64_t>{1, 2, 3, 4}));
-  Result<StoreEpochInfo> info = store->InspectEpoch(4);
-  ASSERT_TRUE(info.ok());
-  EXPECT_FALSE(info->is_delta);
-
-  // 5-6 deltas on 4, 7 full: it supersedes chain 4-6, so chain 1-3 goes.
-  for (uint64_t epoch = 5; epoch <= 7; ++epoch) {
-    sketch.Update(*ParseSExpr("A(B,C)"));
-    ASSERT_TRUE(store->Persist(sketch, epoch).ok());
-  }
-  EXPECT_EQ(store->ListEpochs(), (std::vector<uint64_t>{4, 5, 6, 7}));
-  info = store->InspectEpoch(7);
-  ASSERT_TRUE(info.ok());
-  EXPECT_FALSE(info->is_delta);
+  // Every epoch is a full image: the newest materializes byte-identical
+  // to the live synopsis.
+  Result<SketchTree> newest = store->MaterializeEpoch(7);
+  ASSERT_TRUE(newest.ok()) << newest.status().ToString();
+  EXPECT_EQ(newest->SerializeToString(), sketch.SerializeToString());
 }
 
 TEST_F(StoreTest, LoadNewestDegradesPastCorruptEpoch) {
@@ -370,9 +299,9 @@ TEST_F(StoreTest, LoadNewestDegradesPastCorruptEpoch) {
   sketch.Update(*ParseSExpr("A(B,C)"));
   ASSERT_TRUE(store->Persist(sketch, 2).ok());
 
-  // Flip a byte in epoch 2's (delta) counter payload on disk. The
-  // directory pins the payload location — padding bytes are not
-  // CRC-guarded, so the flip must land inside the payload proper.
+  // Flip a byte in epoch 2's counter payload on disk. The directory
+  // pins the payload location — padding bytes are not CRC-guarded, so
+  // the flip must land inside the payload proper.
   std::string path = DirString() + "/" + SynopsisStore::EpochFileName(2);
   Result<std::string> bytes = ReadFileToString(path);
   ASSERT_TRUE(bytes.ok());
@@ -385,14 +314,34 @@ TEST_F(StoreTest, LoadNewestDegradesPastCorruptEpoch) {
   damaged[victim.entry.file_offset] ^= 0x01;
   ASSERT_TRUE(WriteFileAtomic(path, damaged).ok());
 
+  // The default (mapped) load checks every counter page before it
+  // attaches, so it degrades to the intact epoch, which it maps.
   Result<LoadedSynopsis> loaded = store->LoadNewest();
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->epoch, 1u);  // Degraded to the intact epoch.
+  EXPECT_TRUE(loaded->mapped);
   EXPECT_EQ(loaded->sketch.Stats().trees_processed, 10u);
+
+  // The materializing load degrades the same way.
+  SynopsisStoreOptions owned;
+  owned.use_mmap = false;
+  Result<SynopsisStore> owned_store = SynopsisStore::Open(DirString(), owned);
+  ASSERT_TRUE(owned_store.ok());
+  Result<LoadedSynopsis> owned_loaded = owned_store->LoadNewest();
+  ASSERT_TRUE(owned_loaded.ok()) << owned_loaded.status().ToString();
+  EXPECT_EQ(owned_loaded->epoch, 1u);
+  EXPECT_FALSE(owned_loaded->mapped);
 
   Result<SketchTree> direct = store->MaterializeEpoch(2);
   ASSERT_FALSE(direct.ok());
   EXPECT_TRUE(direct.status().IsCorruption()) << direct.status().ToString();
+  Result<StoreEpochInfo> info = store->InspectEpoch(2);
+  ASSERT_TRUE(info.ok());
+  EXPECT_TRUE(info->page_verdict.IsCorruption());
+  EXPECT_NE(info->page_verdict.ToString().find(
+                "counter page " + std::to_string(victim.entry.page_id)),
+            std::string::npos)
+      << info->page_verdict.ToString();
 }
 
 TEST_F(StoreTest, PersistRejectsNonAdvancingEpoch) {
@@ -406,37 +355,76 @@ TEST_F(StoreTest, PersistRejectsNonAdvancingEpoch) {
   EXPECT_TRUE(store->Persist(sketch, 4).ok());
 }
 
-TEST_F(StoreTest, ReopenedStoreStartsChainFull) {
+TEST_F(StoreTest, ReopenedStoreKeepsNewestEpochAndItsPredecessor) {
   SketchTree sketch = BuildSketch(5, SmallOptions());
   {
     Result<SynopsisStore> store = SynopsisStore::Open(DirString());
     ASSERT_TRUE(store.ok());
     ASSERT_TRUE(store->Persist(sketch, 1).ok());
     sketch.Update(*ParseSExpr("A(B,C)"));
-    ASSERT_TRUE(store->Persist(sketch, 2).ok());  // Delta.
+    ASSERT_TRUE(store->Persist(sketch, 2).ok());
   }
   Result<SynopsisStore> reopened = SynopsisStore::Open(DirString());
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ(reopened->newest_epoch(), 2u);
   sketch.Update(*ParseSExpr("X(Y,Z)"));
   ASSERT_TRUE(reopened->Persist(sketch, 3).ok());
-  // Chains never span writer restarts: epoch 3 must be full.
-  Result<StoreEpochInfo> info = reopened->InspectEpoch(3);
-  ASSERT_TRUE(info.ok());
-  EXPECT_FALSE(info->is_delta);
-  // The full write keeps the superseded chain 1-2 as the fallback.
-  EXPECT_EQ(reopened->ListEpochs(), (std::vector<uint64_t>{1, 2, 3}));
+  // Epoch 2, found at Open, read back, so it anchors the prune.
+  EXPECT_EQ(reopened->ListEpochs(), (std::vector<uint64_t>{2, 3}));
 
-  // A second restart's full write supersedes chain 3 (read back from
-  // the headers on disk), so the oldest chain 1-2 goes.
   Result<SynopsisStore> again = SynopsisStore::Open(DirString());
   ASSERT_TRUE(again.ok());
   sketch.Update(*ParseSExpr("S(NP,VP(V))"));
   ASSERT_TRUE(again->Persist(sketch, 4).ok());
-  info = again->InspectEpoch(4);
-  ASSERT_TRUE(info.ok());
-  EXPECT_FALSE(info->is_delta);
   EXPECT_EQ(again->ListEpochs(), (std::vector<uint64_t>{3, 4}));
+  Result<LoadedSynopsis> loaded = again->LoadNewest();
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->epoch, 4u);
+  EXPECT_EQ(loaded->sketch.SerializeToString(), sketch.SerializeToString());
+}
+
+TEST_F(StoreTest, UnreadablePredecessorDefersPruning) {
+  // Two ways epoch 2 goes bad after the fact: torn to its header page,
+  // or one flipped byte in a counter page (the meta pages stay intact).
+  for (bool torn : {true, false}) {
+    SCOPED_TRACE(torn ? "torn" : "counter flip");
+    fs::remove_all(dir_);
+    SketchTree sketch = BuildSketch(5, SmallOptions());
+    {
+      Result<SynopsisStore> store = SynopsisStore::Open(DirString());
+      ASSERT_TRUE(store.ok());
+      ASSERT_TRUE(store->Persist(sketch, 1).ok());
+      sketch.Update(*ParseSExpr("A(B,C)"));
+      ASSERT_TRUE(store->Persist(sketch, 2).ok());
+    }
+    const std::string path =
+        DirString() + "/" + SynopsisStore::EpochFileName(2);
+    Result<std::string> bytes = ReadFileToString(path);
+    ASSERT_TRUE(bytes.ok());
+    std::string damaged = bytes->substr(0, kPagedPageSize);
+    if (!torn) {
+      Result<ParsedSnapshot> intact =
+          ParsePagedSnapshot(*bytes, PageVerify::kMetaOnly);
+      ASSERT_TRUE(intact.ok()) << intact.status().ToString();
+      damaged = *bytes;
+      damaged[intact->counter_pages.front().entry.file_offset] ^= 0x01;
+    }
+    ASSERT_TRUE(WriteFileAtomic(path, damaged).ok());
+
+    // The reopened writer cannot read epoch 2 back, so epoch 1 — the
+    // newest intact state — survives the next write.
+    Result<SynopsisStore> reopened = SynopsisStore::Open(DirString());
+    ASSERT_TRUE(reopened.ok());
+    sketch.Update(*ParseSExpr("X(Y,Z)"));
+    ASSERT_TRUE(reopened->Persist(sketch, 3).ok());
+    EXPECT_EQ(reopened->ListEpochs(), (std::vector<uint64_t>{1, 2, 3}));
+
+    // Epoch 3 was written by this writer, so the next write prunes
+    // everything before it.
+    sketch.Update(*ParseSExpr("S(NP,VP(V))"));
+    ASSERT_TRUE(reopened->Persist(sketch, 4).ok());
+    EXPECT_EQ(reopened->ListEpochs(), (std::vector<uint64_t>{3, 4}));
+  }
 }
 
 TEST_F(StoreTest, EmptyStoreLoadsNotFound) {
@@ -472,18 +460,16 @@ TEST_F(StoreTest, AllEpochsCorruptIsNotFoundWithTheNewestFailure) {
       << loaded.status().ToString();
 }
 
-TEST_F(StoreTest, TornFullRewriteFallsBackToSupersededChain) {
-  SynopsisStoreOptions options;
-  options.delta_max_chain = 1;
+TEST_F(StoreTest, TornNewestEpochFallsBackToPredecessor) {
   SketchTree sketch = BuildSketch(10, SmallOptions());
-  Result<SynopsisStore> store = SynopsisStore::Open(DirString(), options);
+  Result<SynopsisStore> store = SynopsisStore::Open(DirString());
   ASSERT_TRUE(store.ok());
-  ASSERT_TRUE(store->Persist(sketch, 1).ok());  // Full.
+  ASSERT_TRUE(store->Persist(sketch, 1).ok());
   sketch.Update(*ParseSExpr("A(B,C)"));
-  ASSERT_TRUE(store->Persist(sketch, 2).ok());  // Delta on 1.
+  ASSERT_TRUE(store->Persist(sketch, 2).ok());
   const std::string epoch2_bytes = sketch.SerializeToString();
 
-  // Epoch 3 is a full rewrite (the chain is exhausted), and it tears.
+  // Epoch 3 tears; its write still prunes epoch 1 and keeps epoch 2.
   Counter* full_writes = GlobalMetrics().GetCounter("store.persist_full");
   const uint64_t full_before = full_writes->value();
   FaultInjector::Global().Arm(FaultSite::kStoreTornPageWrite,
@@ -493,9 +479,10 @@ TEST_F(StoreTest, TornFullRewriteFallsBackToSupersededChain) {
   FaultInjector::Global().DisarmAll();
   EXPECT_EQ(full_writes->value(), full_before + 1);
   EXPECT_FALSE(store->InspectEpoch(3).ok());
+  EXPECT_EQ(store->ListEpochs(), (std::vector<uint64_t>{2, 3}));
 
-  // The superseded chain 1-2 survived the full write, so the loader
-  // degrades to its newest epoch rather than finding nothing.
+  // The predecessor survived the write, so the loader degrades to it
+  // rather than finding nothing.
   Result<LoadedSynopsis> loaded = store->LoadNewest();
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->epoch, 2u);
@@ -559,20 +546,40 @@ TEST_F(StoreTest, CursorRoundTripsInFullAndDeltaEpochs) {
     EXPECT_TRUE(info->page_verdict.ok());
 
     sketch.Update(*ParseSExpr("A(B,C)"));
-    ASSERT_TRUE(store->Persist(sketch, 2, "delta cursor").ok());
-    ASSERT_TRUE(store->InspectEpoch(2)->is_delta);
+    ASSERT_TRUE(store->Persist(sketch, 2, "second cursor").ok());
+    const std::string epoch2_bytes = sketch.SerializeToString();
     loaded = SynopsisStore::Open(DirString(), load_options)->LoadNewest();
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     EXPECT_EQ(loaded->epoch, 2u);
-    EXPECT_EQ(loaded->cursor, "delta cursor");
-    EXPECT_EQ(loaded->sketch.SerializeToString(), sketch.SerializeToString());
+    EXPECT_EQ(loaded->cursor, "second cursor");
+    EXPECT_EQ(loaded->sketch.SerializeToString(), epoch2_bytes);
 
-    // An epoch written without a cursor loads with an empty one.
+    // An older store's delta epoch on top (here with its own cursor) is
+    // refused, so a resume restarts exactly from the newest full epoch's
+    // cursor.
     sketch.Update(*ParseSExpr("X(Y,Z)"));
-    ASSERT_TRUE(store->Persist(sketch, 3).ok());
+    std::vector<double> plane = PlaneOf(sketch);
+    ASSERT_TRUE(WriteFileAtomic(
+                    DirString() + "/" + SynopsisStore::EpochFileName(3),
+                    MarkAsDelta(EncodeFullSnapshotImage(
+                                    sketch.SerializeMetaToString(),
+                                    plane.data(), plane.size(), 3, 12,
+                                    "delta cursor"),
+                                2))
+                    .ok());
     loaded = SynopsisStore::Open(DirString(), load_options)->LoadNewest();
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    EXPECT_EQ(loaded->epoch, 3u);
+    EXPECT_EQ(loaded->epoch, 2u);
+    EXPECT_EQ(loaded->cursor, "second cursor");
+    EXPECT_EQ(loaded->sketch.SerializeToString(), epoch2_bytes);
+
+    // An epoch written without a cursor loads with an empty one.
+    Result<SynopsisStore> writer = SynopsisStore::Open(DirString());
+    ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE(writer->Persist(sketch, 4).ok());
+    loaded = SynopsisStore::Open(DirString(), load_options)->LoadNewest();
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded->epoch, 4u);
     EXPECT_TRUE(loaded->cursor.empty());
   }
 }
@@ -646,15 +653,72 @@ TEST_F(StoreTest, StandalonePagedFileLoadsBothPaths) {
   EXPECT_EQ(a, live);
   EXPECT_EQ(b, live);
 
-  // A delta file is refused — its base lives in the store.
-  sketch.Update(*ParseSExpr("A(B,C)"));
-  ASSERT_TRUE(store->Persist(sketch, 2).ok());
-  std::string delta_path =
-      DirString() + "/" + SynopsisStore::EpochFileName(2);
-  Result<LoadedSynopsis> refused = LoadPagedSnapshotFile(delta_path, false);
-  ASSERT_FALSE(refused.ok());
-  EXPECT_TRUE(refused.status().IsInvalidArgument())
-      << refused.status().ToString();
+  // A delta image of an older store is refused on both paths.
+  Result<std::string> bytes = ReadFileToString(path);
+  ASSERT_TRUE(bytes.ok());
+  std::string delta_path = DirString() + "/delta.sks3";
+  ASSERT_TRUE(WriteFileAtomic(delta_path, MarkAsDelta(*bytes, 1)).ok());
+  for (bool use_mmap : {false, true}) {
+    Result<LoadedSynopsis> refused =
+        LoadPagedSnapshotFile(delta_path, use_mmap);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_TRUE(refused.status().IsInvalidArgument())
+        << refused.status().ToString();
+  }
+}
+
+TEST_F(StoreTest, DeltaFlaggedNewestEpochIsRefusedAndDegrades) {
+  SketchTree sketch = BuildSketch(10, SmallOptions());
+  {
+    Result<SynopsisStore> store = SynopsisStore::Open(DirString());
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE(store->Persist(sketch, 1).ok());
+  }
+  const std::string epoch1_bytes = sketch.SerializeToString();
+  // What an older store's chain leaves behind: deltas on top of the
+  // newest full epoch.
+  for (uint64_t epoch = 2; epoch <= 3; ++epoch) {
+    sketch.Update(*ParseSExpr("A(B,C)"));
+    std::vector<double> plane = PlaneOf(sketch);
+    ASSERT_TRUE(WriteFileAtomic(
+                    DirString() + "/" + SynopsisStore::EpochFileName(epoch),
+                    MarkAsDelta(EncodeFullSnapshotImage(
+                                    sketch.SerializeMetaToString(),
+                                    plane.data(), plane.size(), epoch,
+                                    sketch.Stats().trees_processed),
+                                epoch - 1))
+                    .ok());
+  }
+
+  Result<SynopsisStore> store = SynopsisStore::Open(DirString());
+  ASSERT_TRUE(store.ok());
+  EXPECT_EQ(store->newest_epoch(), 3u);
+  Result<SketchTree> direct = store->MaterializeEpoch(3);
+  ASSERT_FALSE(direct.ok());
+  EXPECT_TRUE(direct.status().IsInvalidArgument())
+      << direct.status().ToString();
+  EXPECT_NE(direct.status().ToString().find("delta"), std::string::npos)
+      << direct.status().ToString();
+  EXPECT_TRUE(store->InspectEpoch(3).status().IsInvalidArgument());
+
+  SynopsisStoreOptions owned;
+  owned.use_mmap = false;
+  for (const SynopsisStoreOptions& options : {SynopsisStoreOptions{}, owned}) {
+    Result<LoadedSynopsis> loaded =
+        SynopsisStore::Open(DirString(), options)->LoadNewest();
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded->epoch, 1u);
+    EXPECT_EQ(loaded->mapped, options.use_mmap);
+    EXPECT_EQ(loaded->sketch.SerializeToString(), epoch1_bytes);
+  }
+
+  // The delta epochs cannot anchor a prune; the next writer's second
+  // write prunes them.
+  sketch.Update(*ParseSExpr("X(Y,Z)"));
+  ASSERT_TRUE(store->Persist(sketch, 4).ok());
+  EXPECT_EQ(store->ListEpochs(), (std::vector<uint64_t>{1, 2, 3, 4}));
+  ASSERT_TRUE(store->Persist(sketch, 5).ok());
+  EXPECT_EQ(store->ListEpochs(), (std::vector<uint64_t>{4, 5}));
 }
 
 // ---------------------------------------------------------------------------
@@ -695,29 +759,6 @@ TEST_F(StoreTest, HeaderOnlyTornWriteIsSkippedByLoader) {
   sketch.Update(*ParseSExpr("A(B,C)"));
   ASSERT_TRUE(store->Persist(sketch, 2).ok());
   FaultInjector::Global().DisarmAll();
-  Result<LoadedSynopsis> loaded = store->LoadNewest();
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->epoch, 1u);
-}
-
-TEST_F(StoreTest, StaleDeltaBaseIsRefusedAndDegrades) {
-  SketchTree sketch = BuildSketch(10, SmallOptions());
-  Result<SynopsisStore> store = SynopsisStore::Open(DirString());
-  ASSERT_TRUE(store.ok());
-  ASSERT_TRUE(store->Persist(sketch, 1).ok());
-
-  // The delta of epoch 2 gets stamped with a corrupted base CRC — as if
-  // it were diffed against a plane that never matched epoch 1.
-  FaultInjector::Global().Arm(FaultSite::kStoreStaleDeltaBase, {0, 1, 0});
-  sketch.Update(*ParseSExpr("A(B,C)"));
-  ASSERT_TRUE(store->Persist(sketch, 2).ok());
-  FaultInjector::Global().DisarmAll();
-
-  Result<SketchTree> direct = store->MaterializeEpoch(2);
-  ASSERT_FALSE(direct.ok());
-  EXPECT_TRUE(direct.status().IsCorruption()) << direct.status().ToString();
-  EXPECT_NE(direct.status().ToString().find("base"), std::string::npos);
-
   Result<LoadedSynopsis> loaded = store->LoadNewest();
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->epoch, 1u);
@@ -876,7 +917,7 @@ TEST_F(StoreTest, PlanCacheRejectsPlansThatDoNotFitTheOptions) {
 }
 
 // ---------------------------------------------------------------------------
-// Publisher retention + wire deltas.
+// Publisher retention + the shard_snapshot request.
 
 TEST_F(StoreTest, PublisherRetainsRecentPlanesOnly) {
   SnapshotPublisher publisher;
@@ -974,54 +1015,18 @@ TEST_F(StoreTest, SetNextEpochSurvivesWarmRestartNumbering) {
   EXPECT_EQ(publisher.current_epoch(), 8u);
 }
 
-TEST_F(StoreTest, WireDeltaRoundTripMatchesFullSnapshot) {
-  // What the worker's shard_snapshot delta path does, end to end at the
-  // library level: retained base snapshot -> delta image -> coordinator
-  // applies it onto its cached plane.
-  SnapshotPublisher publisher;
-  publisher.RetainPlanes(4);
-  SketchTree sketch = BuildSketch(10, SmallOptions());
-  ASSERT_TRUE(publisher.PublishCopyOf(sketch).ok());  // Epoch 1 (base).
-  std::shared_ptr<const SketchSnapshot> base = publisher.RetainedFor(1);
-  ASSERT_NE(base, nullptr);
-  std::vector<double> base_plane = PlaneOf(base->sketch);
-
-  sketch.Update(*ParseSExpr("S(NP,VP(V))"));
-  ASSERT_TRUE(publisher.PublishCopyOf(sketch).ok());  // Epoch 2.
-  std::shared_ptr<const SketchSnapshot> current = publisher.Current();
-  std::vector<double> plane(current->sketch.CounterPlaneDoubles());
-  current->sketch.CopyCounterPlane(plane.data());
-  std::string delta = EncodeDeltaSnapshotImage(
-      current->sketch.SerializeMetaToString(), plane.data(),
-      base_plane.data(), plane.size(), current->epoch,
-      current->trees_processed, base->epoch,
-      PlaneCrc(base_plane.data(), base_plane.size()), 1);
-
-  // Coordinator side: apply onto its copy of the epoch-1 plane.
-  Result<ParsedSnapshot> parsed = ParsePagedSnapshot(delta, PageVerify::kAll);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  std::vector<double> cached = base_plane;
-  ASSERT_TRUE(ApplyDeltaToPlane(*parsed, &cached).ok());
-  Result<SketchTree> rebuilt = SketchTree::FromMetaAndCounters(
-      parsed->meta, cached.data(), cached.size());
-  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
-  EXPECT_EQ(rebuilt->SerializeToString(),
-            current->sketch.SerializeToString());
-}
-
-TEST_F(StoreTest, WireRequestParsesBaseEpochAndDeltaReplyFormats) {
+TEST_F(StoreTest, ShardSnapshotRequestIgnoresBaseEpoch) {
+  // What an older coordinator sends when it wants a delta; the field is
+  // not part of the request any more, so it parses as a plain pull.
   Result<WireRequest> request = ParseWireRequest(
       R"({"op":"shard_snapshot","id":9,"base_epoch":12})");
   ASSERT_TRUE(request.ok()) << request.status().ToString();
-  EXPECT_EQ(request->base_epoch, 12u);
-  Result<WireRequest> without =
-      ParseWireRequest(R"({"op":"shard_snapshot","id":9})");
-  ASSERT_TRUE(without.ok());
-  EXPECT_EQ(without->base_epoch, 0u);
+  EXPECT_EQ(request->op, "shard_snapshot");
+  EXPECT_EQ(request->id_json, "9");
 
-  std::string reply = FormatShardDeltaReply("9", 13, 500, 12, "QUJD");
-  EXPECT_NE(reply.find("\"format\":\"v3delta\""), std::string::npos);
-  EXPECT_NE(reply.find("\"base_epoch\":12"), std::string::npos);
+  std::string reply = FormatShardSnapshotReply("9", 13, 500, "QUJD");
+  EXPECT_EQ(reply.find("format"), std::string::npos);
+  EXPECT_EQ(reply.find("base_epoch"), std::string::npos);
   EXPECT_NE(reply.find("\"epoch\":13"), std::string::npos);
   EXPECT_NE(reply.find("\"sketch\":\"QUJD\""), std::string::npos);
 }

@@ -110,7 +110,7 @@ int Usage() {
       "  sketchtree_cli expr --synopsis SYNOPSIS.bin --expression EXPR\n"
       "  sketchtree_cli serve (--synopsis SYNOPSIS.bin | --input FOREST.xml\n"
       "        | --store DIR)\n"
-      "        [--store DIR] [--no-mmap] [--delta-max-chain N]\n"
+      "        [--store DIR] [--no-mmap]\n"
       "        [--plan-save-every-ms N]\n"
       "        [--port 7227] [--workers N] [--queue N] [--cache N]\n"
       "        [--max-arrangements N] [--publish-every N]\n"
@@ -155,10 +155,8 @@ int Usage() {
       "  scale instead of failing. See DESIGN.md section 13.\n"
       "\n"
       "  serve --store DIR persists every published epoch into DIR as a\n"
-      "  v3 paged snapshot — dirty counter pages only when the delta\n"
-      "  chain is at most --delta-max-chain deep (default 8), a full\n"
-      "  rewrite otherwise, which keeps the chain it supersedes as a\n"
-      "  fallback and prunes anything older — and saves\n"
+      "  full v3 paged snapshot — keeping the newest epoch and the one\n"
+      "  before it as a fallback, pruning anything older — and saves\n"
       "  compiled plans to DIR/plans.skpc every --plan-save-every-ms\n"
       "  (default 2000; 0 disables). serve --store DIR *alone*\n"
       "  warm-restarts: the newest intact epoch is mmap-attached\n"
@@ -173,7 +171,7 @@ int Usage() {
       "  moments, self-join size, Theorem-1 error scale, warnings);\n"
       "  --json emits it as a JSON object instead. inspect --store DIR\n"
       "  (or --synopsis on a v3 file) prints the page-level report —\n"
-      "  pages, dirty ratio, chain depth, per-page CRC verdict — without\n"
+      "  page counts, cursor bytes, per-page CRC verdict — without\n"
       "  loading counters; exit 1 if any epoch fails validation.\n"
       "\n"
       "  build --sentinel K tracks exact counts for a K-pattern bottom-K\n"
@@ -907,9 +905,6 @@ int RunServe(const Args& args) {
   std::optional<SynopsisStore> store;
   if (!store_dir.empty()) {
     SynopsisStoreOptions store_options;
-    long chain = args.GetLong("delta-max-chain", 8);
-    store_options.delta_max_chain =
-        chain < 0 ? 0 : static_cast<size_t>(chain);
     store_options.use_mmap = use_mmap;
     Result<SynopsisStore> opened =
         SynopsisStore::Open(store_dir, store_options);
@@ -919,10 +914,7 @@ int RunServe(const Args& args) {
 
   // The live synopsis (ingest mode) or the frozen one (synopsis / warm
   // restart); snapshots of it flow to readers through the publisher.
-  // A few recent snapshots are retained so a coordinator's delta-mode
-  // shard_snapshot pulls can be answered with dirty pages only.
   SnapshotPublisher publisher;
-  publisher.RetainPlanes(4);
   std::optional<SketchTree> live;
   // A mapped warm start aliases this mapping from inside the published
   // snapshot; it must live as long as the server does.
@@ -1046,7 +1038,7 @@ int RunServe(const Args& args) {
   if (!input.empty()) {
     // Live ingest on this thread while the server answers from the
     // published snapshots; a new epoch every --publish-every trees,
-    // each persisted to the store (full or delta) when one is attached.
+    // each persisted to the store when one is attached.
     uint64_t trees = 0;
     Status streamed = StreamXmlForestFile(
         input,
@@ -1171,33 +1163,22 @@ bool ReportEpochInfo(const StoreEpochInfo& info, bool json, bool first) {
   if (json) {
     std::printf(
         "%s{\"epoch\":%llu,\"file\":\"%s\",\"bytes\":%llu,"
-        "\"kind\":\"%s\",\"base_epoch\":%llu,\"chain_depth\":%u,"
         "\"trees\":%llu,\"pages\":%u,\"meta_pages\":%u,"
-        "\"counter_pages\":%u,\"cursor_bytes\":%u,\"dirty_ratio\":%.4f,"
+        "\"counter_pages\":%u,\"cursor_bytes\":%u,"
         "\"pages_ok\":%s%s%s%s}",
         first ? "" : ",", static_cast<unsigned long long>(info.epoch),
         info.path.c_str(), static_cast<unsigned long long>(info.file_bytes),
-        info.is_delta ? "delta" : "full",
-        static_cast<unsigned long long>(info.base_epoch), info.chain_depth,
         static_cast<unsigned long long>(info.trees_processed),
         info.page_count, info.meta_pages, info.counter_pages,
-        info.cursor_bytes, info.dirty_ratio, ok ? "true" : "false",
+        info.cursor_bytes, ok ? "true" : "false",
         ok ? "" : ",\"verdict\":\"",
         ok ? "" : info.page_verdict.ToString().c_str(), ok ? "" : "\"");
   } else {
-    char kind[64];
-    if (info.is_delta) {
-      std::snprintf(kind, sizeof kind, "delta(base %llu, depth %u)",
-                    static_cast<unsigned long long>(info.base_epoch),
-                    info.chain_depth);
-    } else {
-      std::snprintf(kind, sizeof kind, "full");
-    }
     std::printf(
-        "  epoch %llu  %-24s %u pages (%u meta, %u counter, "
-        "dirty %.1f%%)  %llu bytes  %llu trees  %s\n",
-        static_cast<unsigned long long>(info.epoch), kind, info.page_count,
-        info.meta_pages, info.counter_pages, info.dirty_ratio * 100.0,
+        "  epoch %llu  %u pages (%u meta, %u counter, %u cursor bytes)  "
+        "%llu bytes  %llu trees  %s\n",
+        static_cast<unsigned long long>(info.epoch), info.page_count,
+        info.meta_pages, info.counter_pages, info.cursor_bytes,
         static_cast<unsigned long long>(info.file_bytes),
         static_cast<unsigned long long>(info.trees_processed),
         ok ? "pages ok" : info.page_verdict.ToString().c_str());
