@@ -1,12 +1,12 @@
 // EXP-RESTART — warm-restart time-to-first-answer: the synopsis store's
-// mmap read path + persisted plan cache vs the v2 cold deserialize.
+// mmap read path + persisted plan cache vs a cold load.
 //
 // A restarted server is useless until it can answer its first query.
-// The cold path pays three bills: read and checksum the whole v2 file,
-// parse every counter into freshly allocated planes, and compile the
-// first query's plan from scratch. The warm path (serve --store) maps
-// the newest paged epoch read-only (header/directory/meta validation
-// only — counters are attached, not copied), and restores the plan
+// The cold path pays three bills: read and checksum the whole synopsis
+// file, copy every counter into freshly allocated planes, and compile
+// the first query's plan from scratch. The warm path (serve --store)
+// maps the newest paged epoch read-only (every page CRC-checked in
+// place — counters are attached, not copied), and restores the plan
 // cache, so the first query is a cache hit.
 //
 // Measured, per path, median over repeated trials:
@@ -15,7 +15,8 @@
 //              arrangements — a realistic wide unordered query)
 //   ttfa_us  : load + first answer, the figure that matters
 //
-// Paths: cold (v2 LoadFromFile, cold plan cache), warm-mmap (store
+// Paths: cold (LoadFromFile of the same epoch image, cold plan cache),
+// warm-mmap (store
 // LoadNewest zero-copy + plan restore), warm-owned (--no-mmap fallback:
 // same store, counters materialized). All three must produce the
 // bit-identical first estimate. Acceptance floor (exit code):
@@ -95,11 +96,12 @@ QueryServiceOptions ServiceOptions() {
   return options;
 }
 
-/// One cold restart: v2 file -> service -> first (compiling) answer.
-PathResult ColdTrial(const std::string& v2_path) {
+/// One cold restart: synopsis file -> service -> first (compiling)
+/// answer.
+PathResult ColdTrial(const std::string& path) {
   PathResult result;
   WallTimer load_timer;
-  Result<SketchTree> sketch = SketchTree::LoadFromFile(v2_path);
+  Result<SketchTree> sketch = SketchTree::LoadFromFile(path);
   if (!sketch.ok()) {
     std::fprintf(stderr, "cold load failed: %s\n",
                  sketch.status().ToString().c_str());
@@ -228,14 +230,14 @@ int main() {
   const fs::path work = fs::temp_directory_path() / "sketchtree_bench_restart";
   fs::remove_all(work);
   fs::create_directories(work);
-  const std::string v2_path = (work / "synopsis.bin").string();
   const std::string store_dir = (work / "store").string();
+  const std::string epoch_path =
+      store_dir + "/" + SynopsisStore::EpochFileName(1);
 
-  // The server's pre-crash life: build, persist both formats, compile
-  // the first query once, persist its plan.
+  // The server's pre-crash life: build, persist epoch 1, compile the
+  // first query once, persist its plan.
   SketchTree sketch = BuildSketch();
   const uint64_t trees = sketch.Stats().trees_processed;
-  if (!sketch.SaveToFile(v2_path).ok()) return 1;
   SynopsisStore store = *SynopsisStore::Open(store_dir);
   if (!store.Persist(sketch, 1).ok()) return 1;
   const size_t plane_doubles = sketch.CounterPlaneDoubles();
@@ -252,13 +254,11 @@ int main() {
            .ok()) {
     return 1;
   }
-  const uint64_t v2_bytes = fs::file_size(v2_path);
-  const uint64_t store_bytes =
-      fs::file_size(store_dir + "/" + SynopsisStore::EpochFileName(1));
+  const uint64_t store_bytes = fs::file_size(epoch_path);
 
   std::vector<PathResult> cold_trials, mmap_trials, owned_trials;
   for (int trial = 0; trial < kTrials; ++trial) {
-    cold_trials.push_back(ColdTrial(v2_path));
+    cold_trials.push_back(ColdTrial(epoch_path));
     mmap_trials.push_back(WarmTrial(store_dir, /*use_mmap=*/true));
     owned_trials.push_back(WarmTrial(store_dir, /*use_mmap=*/false));
   }
@@ -288,7 +288,7 @@ int main() {
                 r.query_us, r.ttfa_us, r.cache_hit ? "hit" : "compile",
                 r.mapped ? "yes" : "no");
   };
-  row("cold-v2", cold);
+  row("cold", cold);
   row("warm-mmap", mmap);
   row("warm-owned", owned);
   std::printf("  first estimates bit-identical across paths: %s\n",
@@ -307,11 +307,10 @@ int main() {
                  "  \"settings\": {\"s1\": %d, \"s2\": %d, \"streams\": 229,"
                  " \"trees\": %llu, \"counter_doubles\": %zu,\n"
                  "    \"first_query_arrangements\": 5040, \"trials\": %d,"
-                 " \"v2_bytes\": %llu, \"store_bytes\": %llu,\n"
+                 " \"store_bytes\": %llu,\n"
                  "    \"hardware_threads\": %u},\n",
                  kS1, kS2, static_cast<unsigned long long>(trees),
                  plane_doubles, kTrials,
-                 static_cast<unsigned long long>(v2_bytes),
                  static_cast<unsigned long long>(store_bytes),
                  std::thread::hardware_concurrency());
     auto emit = [json](const char* name, const PathResult& r, bool comma) {
@@ -323,7 +322,7 @@ int main() {
                    r.cache_hit ? "true" : "false",
                    r.mapped ? "true" : "false", comma ? "," : ",");
     };
-    emit("cold_v2", cold, true);
+    emit("cold", cold, true);
     emit("warm_mmap", mmap, true);
     emit("warm_owned", owned, true);
     std::fprintf(json,

@@ -11,7 +11,12 @@ not recompiled), and the restart must map the newest epoch (`(mmap)`).
 
 Also drives `inspect --store DIR` over the surviving files: every
 epoch must verify (page CRCs) and carry the whole counter plane, and
-at most two epoch files may remain.
+at most two epoch files may remain. The newest surviving epoch file is
+then an ordinary synopsis file: `query`, `stats`, `merge`,
+`build --append` and `inspect --synopsis` take it, `query` agrees with
+the server's answer at that epoch, and `serve --synopsis` on it answers
+bit for bit the same. Last, `build` refuses a misspelled option
+(`--topK`) with exit code 2.
 
 Usage:
   check_store.py [--cli build/tools/sketchtree_cli]
@@ -96,6 +101,64 @@ def wait_for_stderr(stderr_path, needle, timeout_s=30):
     fail(f"{needle!r} never appeared in {stderr_path}")
 
 
+def run_cli(cli, *argv):
+    return subprocess.run([cli, *argv], capture_output=True, text=True)
+
+
+def check_synopsis_file(cli, tmp, forest, newest, estimate):
+    """Every synopsis reader takes a store epoch file, and the answers
+    agree with the server's `estimate` at that epoch."""
+    def expect_ok(what, result, needle):
+        if result.returncode != 0 or needle not in result.stdout:
+            fail(f"{what} on an epoch file: exit {result.returncode}, "
+                 f"wanted {needle!r} in {result.stdout!r} "
+                 f"(stderr: {result.stderr!r})")
+
+    def answer(estimate):
+        return f"COUNT({QUERY['q']}) ~= {estimate:.1f}"
+
+    expect_ok("query", run_cli(cli, "query", "--synopsis", newest,
+                               "--pattern", QUERY["q"], "--unordered"),
+              answer(estimate))
+    expect_ok("stats", run_cli(cli, "stats", "--synopsis", newest),
+              f"trees processed:    {TREES}")
+    merged = os.path.join(tmp, "merged.bin")
+    expect_ok("merge", run_cli(cli, "merge", "--inputs",
+                               f"{newest},{newest}", "--output", merged),
+              f"({2 * TREES} trees total)")
+    # With --topk 0 the merged counters are exactly twice the epoch's,
+    # and so is every estimate.
+    expect_ok("query of the merge", run_cli(
+        cli, "query", "--synopsis", merged, "--pattern", QUERY["q"],
+        "--unordered"), answer(2 * estimate))
+    expect_ok("build --append", run_cli(
+        cli, "build", "--input", forest, "--append", newest, "--output",
+        os.path.join(tmp, "appended.bin")), f"{2 * TREES} trees total")
+    inspected = run_cli(cli, "inspect", "--synopsis", newest, "--json")
+    if inspected.returncode != 0:
+        fail(f"inspect --synopsis failed: {inspected.stderr}")
+    report = json.loads(inspected.stdout)
+    if (not report.get("ok") or report["pages"].get("pages_ok") is not True
+            or "health" not in report):
+        fail(f"inspect --synopsis report incomplete: {report}")
+
+    stderr_path = os.path.join(tmp, "frozen.stderr")
+    port = start_server(cli, ["--synopsis", newest], stderr_path)
+    frozen = roundtrip(port, QUERY)
+    if frozen.get("estimate") != estimate:
+        fail(f"serve --synopsis on the epoch file answered {frozen}, the "
+             f"live server {estimate!r}")
+    roundtrip(port, {"op": "shutdown"})
+    if server.wait(timeout=20) != 0:
+        fail(f"frozen server exited with status {server.returncode}")
+
+    typo = run_cli(cli, "build", "--input", forest, "--output",
+                   os.path.join(tmp, "typo.bin"), "--topK", "1")
+    if typo.returncode != 2 or "--topK" not in typo.stderr:
+        fail(f"build --topK 1 exited {typo.returncode} (want the usage "
+             f"error 2 naming the option): {typo.stderr[:200]!r}")
+
+
 def main():
     global server
     parser = argparse.ArgumentParser()
@@ -161,6 +224,10 @@ def main():
             fail(f"epoch does not carry the whole {PLANE_PAGES}-page "
                  f"counter plane: {entry}")
 
+    # --- The newest epoch file is an ordinary synopsis file. -------------
+    newest = os.path.join(store, f"epoch-{epochs[-1]}.sks3")
+    check_synopsis_file(args.cli, tmp, forest, newest, before["estimate"])
+
     # --- Run 2: warm restart from the store alone. -----------------------
     stderr2 = os.path.join(tmp, "run2.stderr")
     port = start_server(args.cli, ["--store", store], stderr2)
@@ -189,10 +256,11 @@ def main():
 
     shutil.rmtree(tmp, ignore_errors=True)
     print(f"check_store: OK: ingest left epochs {epochs} in the store, "
-          "inspect verified every page of every full plane, SIGKILL "
-          "survived, the warm restart mapped the newest epoch and answered "
-          "the first query bit-identically from the restored plan cache "
-          "(cache hit)")
+          "inspect verified every page of every full plane, every synopsis "
+          "reader took the newest epoch file and agreed with the server, "
+          "SIGKILL survived, the warm restart mapped the newest epoch and "
+          "answered the first query bit-identically from the restored plan "
+          "cache (cache hit), and a misspelled option was a usage error")
 
 
 if __name__ == "__main__":

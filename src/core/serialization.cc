@@ -1,31 +1,21 @@
-// Synopsis (de)serialization for SketchTree. Format v2 (little-endian):
-//
-//   magic "SKTR" | version u32 | options | trees_processed u64 |
-//   trees_removed u64 | patterns_removed u64 | virtual-streams state |
-//   has_summary u8 [ | summary state ] | crc32 u32
-//
-// Only mutable state is stored; all randomness is re-derived from the
-// options' seeds on load, making the format compact and the round trip
-// bit-exact. The trailing CRC-32 covers every preceding byte, so a
-// truncated, torn, or bit-flipped synopsis is rejected as Corruption
-// instead of being parsed into silently wrong counts (v1 had no
-// checksum and did not persist the turnstile removal counters).
+// SketchTree persistence. The one serialized form of a synopsis is the
+// v3 paged image (store/page_format.h): the options and the rest of the
+// non-counter state go into its "meta" blob, written here, and the
+// counter plane is paged out raw beside it. Only mutable state is
+// stored; all randomness is re-derived from the options' seeds on load,
+// which keeps the image compact and the round trip bit-exact.
 #include "common/atomic_file.h"
 #include "common/binary_io.h"
-#include "common/crc32.h"
 #include "core/sketch_tree.h"
+#include "store/synopsis_store.h"
 
 namespace sketchtree {
 
 namespace {
 
-constexpr uint32_t kMagic = 0x53'4B'54'52;  // "SKTR".
-constexpr uint32_t kVersion = 2;
-constexpr size_t kCrcTrailerBytes = 4;
-
-// Meta blob of the v3 paged store (src/store/): the synopsis minus its
-// counter planes. No trailing CRC — every page the store embeds this in
-// carries its own CRC-32.
+// Meta blob of the v3 paged image: the synopsis minus its counter
+// plane. No CRC of its own — every page the image embeds it in carries
+// one.
 constexpr uint32_t kMetaMagic = 0x53'4B'54'4D;  // "SKTM".
 constexpr uint32_t kMetaVersion = 3;
 
@@ -71,21 +61,21 @@ Result<SketchTreeOptions> ReadOptions(BinaryReader* reader) {
 
 }  // namespace
 
-void SketchTree::SaveBody(BinaryWriter* writer, bool with_counters) const {
+void SketchTree::SaveBody(BinaryWriter* writer) const {
   WriteOptions(options_, writer);
   writer->WriteU64(trees_processed_);
   writer->WriteU64(trees_removed_);
   writer->WriteU64(patterns_removed_);
-  streams_->Save(writer, with_counters);
+  streams_->Save(writer);
   writer->WriteU8(summary_ != nullptr ? 1 : 0);
   if (summary_ != nullptr) summary_->SaveState(writer);
 }
 
-Status SketchTree::LoadBody(BinaryReader* reader, bool with_counters) {
+Status SketchTree::LoadBody(BinaryReader* reader) {
   SKETCHTREE_ASSIGN_OR_RETURN(trees_processed_, reader->ReadU64());
   SKETCHTREE_ASSIGN_OR_RETURN(trees_removed_, reader->ReadU64());
   SKETCHTREE_ASSIGN_OR_RETURN(patterns_removed_, reader->ReadU64());
-  SKETCHTREE_RETURN_NOT_OK(streams_->Load(reader, with_counters));
+  SKETCHTREE_RETURN_NOT_OK(streams_->Load(reader));
   SKETCHTREE_ASSIGN_OR_RETURN(uint8_t has_summary, reader->ReadU8());
   if ((has_summary != 0) != (summary_ != nullptr)) {
     return Status::InvalidArgument(
@@ -104,63 +94,11 @@ Status SketchTree::LoadBody(BinaryReader* reader, bool with_counters) {
   return Status::OK();
 }
 
-std::string SketchTree::SerializeToString() const {
-  BinaryWriter writer;
-  writer.WriteU32(kMagic);
-  writer.WriteU32(kVersion);
-  SaveBody(&writer, /*with_counters=*/true);
-  uint32_t crc = Crc32(writer.buffer());
-  writer.WriteU32(crc);
-  return writer.Release();
-}
-
-Result<SketchTree> SketchTree::DeserializeFromString(
-    std::string_view bytes) {
-  // Validate the envelope before interpreting any field: magic first
-  // (is this a synopsis at all?), then the whole-payload CRC (is it the
-  // synopsis that was written?).
-  if (bytes.size() < 8 + kCrcTrailerBytes) {
-    return Status::OutOfRange("synopsis too short (" +
-                              std::to_string(bytes.size()) + " bytes)");
-  }
-  {
-    BinaryReader header(bytes);
-    SKETCHTREE_ASSIGN_OR_RETURN(uint32_t magic, header.ReadU32());
-    if (magic != kMagic) {
-      return Status::InvalidArgument("not a SketchTree synopsis (bad magic)");
-    }
-    SKETCHTREE_ASSIGN_OR_RETURN(uint32_t version, header.ReadU32());
-    if (version != kVersion) {
-      return Status::InvalidArgument("unsupported synopsis version " +
-                                     std::to_string(version));
-    }
-  }
-  std::string_view payload = bytes.substr(0, bytes.size() - kCrcTrailerBytes);
-  BinaryReader trailer(bytes.substr(bytes.size() - kCrcTrailerBytes));
-  SKETCHTREE_ASSIGN_OR_RETURN(uint32_t stored_crc, trailer.ReadU32());
-  uint32_t computed_crc = Crc32(payload);
-  if (stored_crc != computed_crc) {
-    return Status::Corruption(
-        "synopsis checksum mismatch (stored " + std::to_string(stored_crc) +
-        ", computed " + std::to_string(computed_crc) +
-        "): torn write or bit rot");
-  }
-
-  BinaryReader reader(payload);
-  SKETCHTREE_RETURN_NOT_OK(reader.ReadU32().status());  // Magic, checked.
-  SKETCHTREE_RETURN_NOT_OK(reader.ReadU32().status());  // Version, checked.
-  SKETCHTREE_ASSIGN_OR_RETURN(SketchTreeOptions options,
-                              ReadOptions(&reader));
-  SKETCHTREE_ASSIGN_OR_RETURN(SketchTree sketch, Create(options));
-  SKETCHTREE_RETURN_NOT_OK(sketch.LoadBody(&reader, /*with_counters=*/true));
-  return sketch;
-}
-
 std::string SketchTree::SerializeMetaToString() const {
   BinaryWriter writer;
   writer.WriteU32(kMetaMagic);
   writer.WriteU32(kMetaVersion);
-  SaveBody(&writer, /*with_counters=*/false);
+  SaveBody(&writer);
   return writer.Release();
 }
 
@@ -192,7 +130,7 @@ Result<SketchTree> SketchTree::FromMetaAndCounters(std::string_view meta,
   SKETCHTREE_ASSIGN_OR_RETURN(SketchTreeOptions options,
                               ReadMetaEnvelope(&reader));
   SKETCHTREE_ASSIGN_OR_RETURN(SketchTree sketch, Create(options));
-  SKETCHTREE_RETURN_NOT_OK(sketch.LoadBody(&reader, /*with_counters=*/false));
+  SKETCHTREE_RETURN_NOT_OK(sketch.LoadBody(&reader));
   if (attach) {
     SKETCHTREE_RETURN_NOT_OK(sketch.streams_->AttachCounterPlane(plane,
                                                                  count));
@@ -203,26 +141,25 @@ Result<SketchTree> SketchTree::FromMetaAndCounters(std::string_view meta,
   return sketch;
 }
 
+std::string SketchTree::SerializeToString() const {
+  return EncodeSynopsisImage(*this, /*epoch=*/0);
+}
+
+Result<SketchTree> SketchTree::DeserializeFromString(
+    std::string_view bytes) {
+  SKETCHTREE_ASSIGN_OR_RETURN(LoadedSynopsis loaded,
+                              DecodeSynopsisImage(bytes));
+  return std::move(loaded.sketch);
+}
+
 Status SketchTree::SaveToFile(const std::string& path) const {
   return WriteFileAtomic(path, SerializeToString());
 }
 
 Result<SketchTree> SketchTree::LoadFromFile(const std::string& path) {
-  // ReadFileToString already distinguishes NotFound (ENOENT) from
-  // IOError; DeserializeFromString layers Corruption (CRC mismatch),
-  // OutOfRange (truncation), and InvalidArgument (wrong format) on top.
-  SKETCHTREE_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
-  Result<SketchTree> sketch = DeserializeFromString(bytes);
-  if (!sketch.ok()) {
-    Status st = sketch.status();
-    if (st.IsOutOfRange()) {
-      // A short file on disk is a torn/partial write, not a caller bug.
-      return Status::Corruption("'" + path + "' is truncated: " +
-                                st.message());
-    }
-    return st;
-  }
-  return sketch;
+  SKETCHTREE_ASSIGN_OR_RETURN(LoadedSynopsis loaded,
+                              LoadPagedSnapshotFile(path, /*use_mmap=*/false));
+  return std::move(loaded.sketch);
 }
 
 }  // namespace sketchtree

@@ -168,25 +168,28 @@ class SketchTree {
   const StructuralSummary* summary() const { return summary_.get(); }
 
   /// Serializes the complete synopsis — options, sketch counters, top-k
-  /// state, structural summary, stream counters — to a self-contained
-  /// byte string. Seed-derived randomness (the irreducible polynomial
-  /// and every xi family) is rebuilt on load, so the format stores only
-  /// the mutable state plus the options. Estimates after a round trip
-  /// are bit-identical to the original's.
+  /// state, structural summary, stream counters — as a self-contained
+  /// v3 paged image (store/page_format.h) at epoch 0 with no cursor: the
+  /// same encoding as a store epoch, a build checkpoint and a
+  /// `shard_snapshot` pull. Seed-derived randomness (the irreducible
+  /// polynomial and every xi family) is rebuilt on load, so the image
+  /// stores only the mutable state plus the options. Estimates after a
+  /// round trip are bit-identical to the original's.
   std::string SerializeToString() const;
 
-  /// Restores a synopsis written by SerializeToString. Validates magic,
-  /// version, the whole-payload CRC-32, and structural consistency;
-  /// fails with InvalidArgument (wrong format), OutOfRange (truncated),
-  /// or Corruption (checksum mismatch) — never crashes or silently
-  /// accepts damaged bytes.
+  /// Restores any v3 synopsis image (SerializeToString, a store epoch, a
+  /// checkpoint), checking every page; its epoch and cursor are dropped.
+  /// Fails with InvalidArgument (not a v3 image — a file of an older
+  /// format included — or a delta image), OutOfRange (truncated), or
+  /// Corruption (checksum, padding or layout mismatch) — never crashes
+  /// or silently accepts damaged bytes.
   static Result<SketchTree> DeserializeFromString(std::string_view bytes);
 
   /// The non-counter mutable state — options, stream counters, top-k
   /// entries, structural summary — as a self-contained blob: the "meta"
-  /// half of the v3 paged snapshot format (src/store/), which pages the
-  /// counter planes out separately as page-aligned blocks. No checksum:
-  /// the paged store checksums every page it embeds this in.
+  /// half of the v3 paged image, which pages the counter planes out
+  /// separately as page-aligned blocks. No checksum: the image
+  /// checksums every page it embeds this in.
   std::string SerializeMetaToString() const;
 
   /// Rebuilds a synopsis from a SerializeMetaToString blob plus a full
@@ -194,8 +197,7 @@ class SketchTree {
   /// `attach` false the plane is copied; with `attach` true the synopsis
   /// reads the caller's memory directly (an mmap'd snapshot — the
   /// caller keeps it alive and unchanged; any mutation copies-on-write
-  /// first). Both forms produce bit-identical estimates to the v2
-  /// deserialize path.
+  /// first). Both forms produce bit-identical estimates.
   static Result<SketchTree> FromMetaAndCounters(std::string_view meta,
                                                 const double* plane,
                                                 size_t count,
@@ -213,13 +215,15 @@ class SketchTree {
     return streams_->LoadCounterPlane(data, count);
   }
 
-  /// Atomically persists the synopsis: write to `path`.tmp, fsync,
-  /// rename over `path`, fsync the directory. A crash mid-save leaves
-  /// the previous file intact.
+  /// Atomically persists SerializeToString(): write to `path`.tmp,
+  /// fsync, rename over `path`, fsync the directory. A crash mid-save
+  /// leaves the previous file intact.
   Status SaveToFile(const std::string& path) const;
-  /// Loads a SaveToFile synopsis with typed failures: NotFound (no such
-  /// file), IOError (unreadable), Corruption (truncated or checksum
-  /// mismatch), InvalidArgument (not a synopsis / wrong version).
+  /// Loads any v3 synopsis file — a SaveToFile output or a store epoch —
+  /// into owned memory, every page checked (LoadPagedSnapshotFile
+  /// without mmap). Typed failures: NotFound (no such file), IOError
+  /// (unreadable), Corruption (truncated, checksum or padding mismatch),
+  /// InvalidArgument (not a v3 image, or a delta image).
   static Result<SketchTree> LoadFromFile(const std::string& path);
 
   /// Folds `other` — a synopsis built with identical options — into this
@@ -260,12 +264,11 @@ class SketchTree {
              std::shared_ptr<const RabinFingerprinter> fingerprinter,
              std::unique_ptr<VirtualStreams> streams);
 
-  /// The serialized state after the format envelope, shared by the v2
-  /// synopsis (`with_counters`) and the v3 meta blob (without): options,
-  /// stream counters, the streams' state, the structural summary. The
+  /// The meta blob after its envelope: options, stream counters, the
+  /// streams' state without counters, the structural summary. The
   /// loader reads what follows the options and expects the input to end.
-  void SaveBody(BinaryWriter* writer, bool with_counters) const;
-  Status LoadBody(BinaryReader* reader, bool with_counters);
+  void SaveBody(BinaryWriter* writer) const;
+  Status LoadBody(BinaryReader* reader);
 
   /// Validates a query pattern against k and returns its canonical value.
   Result<uint64_t> MapQuery(const LabeledTree& query);

@@ -723,10 +723,10 @@ void QueryServer::HandleRequest(const std::shared_ptr<Connection>& conn,
                   /*ok=*/true);
       return;
     }
-    // shard_snapshot: the merge-at-publish pull, always the full
-    // serialized synopsis (an older coordinator's `base_epoch` field is
-    // ignored). It is the checkpoint format, so a coordinator can also
-    // hand it to a fresh worker (shard handoff).
+    // shard_snapshot: the merge-at-publish pull, always the whole
+    // synopsis image (an older coordinator's `base_epoch` field is
+    // ignored). It is the synopsis file format, so a coordinator can
+    // also hand it to a fresh worker (shard handoff).
     std::string bytes = snapshot->sketch.SerializeToString();
     SendCounted(conn,
                 FormatShardSnapshotReply(request.id_json, snapshot->epoch,

@@ -57,8 +57,8 @@ namespace sketchtree {
 /// and returns the worker's per-instance combined projection matrix —
 /// exact integer counters, so the coordinator can sum matrices across
 /// shards bit-exactly. `shard_snapshot` returns the worker's current
-/// synopsis (base64 of the checkpoint serialization) for the
-/// merge-at-publish path, and `health` is a cheap liveness +
+/// synopsis (base64 of its v3 paged image, the synopsis file format)
+/// for the merge-at-publish path, and `health` is a cheap liveness +
 /// staleness probe.
 ///
 /// Success reply:
@@ -209,7 +209,8 @@ std::string FormatShardEstimateReply(std::string_view id_json, int s1, int s2,
                                      std::string_view spans = {});
 
 /// Renders a `shard_snapshot` success reply carrying the base64-encoded
-/// checkpoint serialization of the worker's current snapshot.
+/// synopsis image (SketchTree::SerializeToString) of the worker's
+/// current snapshot.
 std::string FormatShardSnapshotReply(std::string_view id_json, uint64_t epoch,
                                      uint64_t trees,
                                      std::string_view base64_sketch);

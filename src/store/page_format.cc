@@ -13,8 +13,7 @@ namespace sketchtree {
 // little-endian so a mapped file is directly usable as the plane.
 static_assert(std::endian::native == std::endian::little,
               "the v3 paged snapshot format stores counter pages as raw "
-              "little-endian doubles; big-endian hosts must use the v2 "
-              "serialized path");
+              "little-endian doubles");
 static_assert(sizeof(double) == 8, "counter pages assume 8-byte doubles");
 
 namespace {
@@ -24,8 +23,8 @@ std::string_view BytesOf(const double* plane, size_t count) {
                           count * sizeof(double));
 }
 
-size_t PagesFor(size_t bytes) {
-  return (bytes + kPagedPageSize - 1) / kPagedPageSize;
+uint64_t PagesFor(uint64_t bytes) {
+  return bytes / kPagedPageSize + (bytes % kPagedPageSize != 0 ? 1 : 0);
 }
 
 uint32_t PlaneCrc(const double* plane, size_t count) {
@@ -125,7 +124,9 @@ Result<PagedHeader> ParseHeader(std::string_view bytes) {
   PagedHeader header;
   SKETCHTREE_ASSIGN_OR_RETURN(uint32_t magic, reader.ReadU32());
   if (magic != kPagedMagic) {
-    return Status::InvalidArgument("not a paged snapshot (bad magic)");
+    return Status::InvalidArgument(
+        "not a v3 paged synopsis image (bad magic); synopsis files written "
+        "in an older format are no longer read, rebuild them");
   }
   SKETCHTREE_ASSIGN_OR_RETURN(uint32_t version, reader.ReadU32());
   if (version != kPagedVersion) {
@@ -181,42 +182,15 @@ const char* KindName(PageKind kind) {
   return "unknown";
 }
 
-/// Concatenates one blob's pages in page-id order into `out`, checking
-/// that the ids run 0..n-1 and the bytes add up to `expected_length`.
-Status ReassembleBlob(PageKind kind, uint64_t expected_length,
-                      std::vector<ParsedPage>* pages, std::string* out) {
-  uint64_t total = 0;
-  for (const ParsedPage& page : *pages) total += page.entry.payload_length;
-  if (total != expected_length) {
-    return Status::Corruption(std::string(KindName(kind)) + " pages hold " +
-                              std::to_string(total) +
-                              " bytes but the header promises " +
-                              std::to_string(expected_length));
-  }
-  std::sort(pages->begin(), pages->end(),
-            [](const ParsedPage& a, const ParsedPage& b) {
-              return a.entry.page_id < b.entry.page_id;
-            });
-  out->reserve(total);
-  for (size_t i = 0; i < pages->size(); ++i) {
-    if ((*pages)[i].entry.page_id != i) {
-      return Status::Corruption(std::string(KindName(kind)) +
-                                " page sequence has a gap at ordinal " +
-                                std::to_string(i));
-    }
-    out->append((*pages)[i].payload);
-  }
-  return Status::OK();
+bool IsZero(std::string_view padding) {
+  return padding.find_first_not_of('\0') == std::string_view::npos;
+}
+
+Status PaddingCorruption(const std::string& what) {
+  return Status::Corruption(what + " has non-zero padding");
 }
 
 }  // namespace
-
-bool IsPagedSnapshot(std::string_view bytes) {
-  if (bytes.size() < 4) return false;
-  uint32_t magic = 0;
-  std::memcpy(&magic, bytes.data(), 4);
-  return magic == kPagedMagic;
-}
 
 std::string EncodeFullSnapshotImage(std::string_view meta, const double* plane,
                                     size_t plane_doubles, uint64_t epoch,
@@ -245,131 +219,104 @@ Result<ParsedSnapshot> ParsePagedSnapshot(std::string_view bytes,
   SKETCHTREE_ASSIGN_OR_RETURN(parsed.header, ParseHeader(bytes));
   const PagedHeader& header = parsed.header;
 
-  if (header.dir_offset + header.dir_length > bytes.size()) {
-    return Status::OutOfRange(
-        "paged snapshot truncated: directory ends at " +
-        std::to_string(header.dir_offset + header.dir_length) + " but file is " +
-        std::to_string(bytes.size()) + " bytes");
+  // The header's lengths fix the whole layout (AssembleImage): the
+  // directory from page 1, then the meta, cursor and counter pages, one
+  // slot each, in that order.
+  const uint64_t plane_bytes = header.counter_doubles * sizeof(double);
+  if (header.counter_doubles > (uint64_t{1} << 31) ||
+      header.page_count != PagesFor(header.meta_length) +
+                               PagesFor(header.cursor_length) +
+                               PagesFor(plane_bytes) ||
+      header.dir_offset != kPagedPageSize ||
+      header.dir_length !=
+          static_cast<uint64_t>(header.page_count) * kPagedDirEntryBytes) {
+    return Status::Corruption(
+        "paged snapshot header describes an impossible layout (" +
+        std::to_string(header.page_count) + " pages for " +
+        std::to_string(header.meta_length) + " meta bytes, " +
+        std::to_string(header.cursor_length) + " cursor bytes and " +
+        std::to_string(header.counter_doubles) + " counters)");
   }
-  if (header.dir_length !=
-      static_cast<uint64_t>(header.page_count) * kPagedDirEntryBytes) {
-    return Status::Corruption("paged snapshot directory length disagrees "
-                              "with its page count");
+  const uint64_t first_payload =
+      kPagedPageSize * (1 + PagesFor(header.dir_length));
+  const uint64_t image_bytes =
+      first_payload + uint64_t{kPagedPageSize} * header.page_count;
+  if (bytes.size() < image_bytes) {
+    return Status::OutOfRange("paged snapshot truncated: " +
+                              std::to_string(bytes.size()) + " of " +
+                              std::to_string(image_bytes) + " bytes");
+  }
+  if (bytes.size() > image_bytes) {
+    return Status::Corruption("paged snapshot has " +
+                              std::to_string(bytes.size() - image_bytes) +
+                              " trailing bytes");
+  }
+  if (!IsZero(bytes.substr(kPagedHeaderBytes,
+                           kPagedPageSize - kPagedHeaderBytes))) {
+    return PaddingCorruption("paged snapshot header page");
   }
   std::string_view dir_bytes =
       bytes.substr(header.dir_offset, header.dir_length);
   if (Crc32(dir_bytes) != header.dir_crc) {
     return Status::Corruption("paged snapshot directory checksum mismatch");
   }
+  if (!IsZero(bytes.substr(header.dir_offset + header.dir_length,
+                           first_payload - header.dir_offset -
+                               header.dir_length))) {
+    return PaddingCorruption("paged snapshot directory");
+  }
 
   BinaryReader dir(dir_bytes);
-  std::vector<ParsedPage> meta_pages;
-  std::vector<ParsedPage> cursor_pages;
-  uint64_t counter_bytes = 0;
-  for (uint32_t i = 0; i < header.page_count; ++i) {
-    PageEntry entry;
-    SKETCHTREE_ASSIGN_OR_RETURN(entry.page_id, dir.ReadU32());
-    SKETCHTREE_ASSIGN_OR_RETURN(uint32_t kind, dir.ReadU32());
-    SKETCHTREE_ASSIGN_OR_RETURN(entry.file_offset, dir.ReadU64());
-    SKETCHTREE_ASSIGN_OR_RETURN(entry.payload_length, dir.ReadU32());
-    SKETCHTREE_ASSIGN_OR_RETURN(entry.crc, dir.ReadU32());
-    if (kind < static_cast<uint32_t>(PageKind::kMeta) ||
-        kind > static_cast<uint32_t>(PageKind::kCursor)) {
-      return Status::Corruption("page " + std::to_string(entry.page_id) +
-                                " has unknown kind " + std::to_string(kind));
+  uint64_t slot = first_payload;
+  // Checks the next directory entries and pages — those of one blob of
+  // `blob_length` bytes — and appends the payloads to `out` (counter
+  // pages are indexed instead).
+  auto read_pages = [&](PageKind kind, uint64_t blob_length,
+                        std::string* out) -> Status {
+    for (uint64_t i = 0; i < PagesFor(blob_length);
+         ++i, slot += kPagedPageSize) {
+      PageEntry entry;
+      SKETCHTREE_ASSIGN_OR_RETURN(entry.page_id, dir.ReadU32());
+      SKETCHTREE_ASSIGN_OR_RETURN(uint32_t kind_code, dir.ReadU32());
+      SKETCHTREE_ASSIGN_OR_RETURN(entry.file_offset, dir.ReadU64());
+      SKETCHTREE_ASSIGN_OR_RETURN(entry.payload_length, dir.ReadU32());
+      SKETCHTREE_ASSIGN_OR_RETURN(entry.crc, dir.ReadU32());
+      entry.kind = kind;
+      auto name = [kind, i] {
+        return std::string(KindName(kind)) + " page " + std::to_string(i);
+      };
+      const uint64_t length = std::min<uint64_t>(
+          kPagedPageSize, blob_length - i * kPagedPageSize);
+      if (entry.page_id != i || kind_code != static_cast<uint32_t>(kind) ||
+          entry.file_offset != slot || entry.payload_length != length) {
+        return Status::Corruption("directory entry for " + name() +
+                                  " disagrees with the layout");
+      }
+      std::string_view payload = bytes.substr(slot, length);
+      // Meta and cursor pages are always verified — meta is needed to
+      // build anything at all, and the cursor is what a resume trusts.
+      if ((kind != PageKind::kCounters || verify == PageVerify::kAll) &&
+          Crc32(payload) != entry.crc) {
+        return Status::Corruption(name() + " checksum mismatch");
+      }
+      if (!IsZero(bytes.substr(slot + length, kPagedPageSize - length))) {
+        return PaddingCorruption(name());
+      }
+      if (out != nullptr) {
+        out->append(payload);
+      } else {
+        parsed.counter_pages.push_back(ParsedPage{entry, payload});
+      }
     }
-    entry.kind = static_cast<PageKind>(kind);
-    // Every page occupies a full zero-padded 4 KiB slot, so a file
-    // that ends inside a slot is truncated even if the payload bytes
-    // themselves survived.
-    if (entry.payload_length > kPagedPageSize ||
-        entry.file_offset % kPagedPageSize != 0 ||
-        entry.file_offset + kPagedPageSize > bytes.size()) {
-      return Status::Corruption(
-          std::string(KindName(entry.kind)) + " page " +
-          std::to_string(entry.page_id) + " lies outside the file (offset " +
-          std::to_string(entry.file_offset) + ", length " +
-          std::to_string(entry.payload_length) + ", file " +
-          std::to_string(bytes.size()) + " bytes)");
-    }
-    ParsedPage page;
-    page.entry = entry;
-    page.payload = bytes.substr(entry.file_offset, entry.payload_length);
-    // Meta and cursor pages are always verified — meta is needed to
-    // build anything at all, and the cursor is what a resume trusts.
-    if ((entry.kind != PageKind::kCounters || verify == PageVerify::kAll) &&
-        Crc32(page.payload) != entry.crc) {
-      return Status::Corruption(std::string(KindName(entry.kind)) + " page " +
-                                std::to_string(entry.page_id) +
-                                " checksum mismatch");
-    }
-    switch (entry.kind) {
-      case PageKind::kMeta:
-        meta_pages.push_back(page);
-        break;
-      case PageKind::kCursor:
-        cursor_pages.push_back(page);
-        break;
-      case PageKind::kCounters:
-        counter_bytes += entry.payload_length;
-        parsed.counter_pages.push_back(page);
-        break;
-    }
-  }
-
-  SKETCHTREE_RETURN_NOT_OK(ReassembleBlob(PageKind::kMeta, header.meta_length,
-                                          &meta_pages, &parsed.meta));
-  SKETCHTREE_RETURN_NOT_OK(ReassembleBlob(PageKind::kCursor,
-                                          header.cursor_length, &cursor_pages,
-                                          &parsed.cursor));
-
-  std::sort(parsed.counter_pages.begin(), parsed.counter_pages.end(),
-            [](const ParsedPage& a, const ParsedPage& b) {
-              return a.entry.page_id < b.entry.page_id;
-            });
-  uint64_t plane_bytes = header.counter_doubles * sizeof(double);
-  uint64_t plane_pages = PagesFor(plane_bytes);
-  for (size_t i = 0; i + 1 < parsed.counter_pages.size(); ++i) {
-    if (parsed.counter_pages[i].entry.page_id ==
-        parsed.counter_pages[i + 1].entry.page_id) {
-      return Status::Corruption(
-          "counter page " +
-          std::to_string(parsed.counter_pages[i].entry.page_id) +
-          " appears twice in the directory");
-    }
-  }
-  for (const ParsedPage& page : parsed.counter_pages) {
-    if (page.entry.page_id >= plane_pages) {
-      return Status::Corruption("counter page " +
-                                std::to_string(page.entry.page_id) +
-                                " exceeds the plane's " +
-                                std::to_string(plane_pages) + " pages");
-    }
-    size_t begin = static_cast<size_t>(page.entry.page_id) * kPagedPageSize;
-    size_t expect = std::min<uint64_t>(kPagedPageSize, plane_bytes - begin);
-    if (page.entry.payload_length != expect) {
-      return Status::Corruption(
-          "counter page " + std::to_string(page.entry.page_id) + " holds " +
-          std::to_string(page.entry.payload_length) + " bytes, expected " +
-          std::to_string(expect));
-    }
-  }
-  if (parsed.counter_pages.size() != plane_pages ||
-      counter_bytes != plane_bytes) {
-    return Status::Corruption(
-        "snapshot carries " + std::to_string(parsed.counter_pages.size()) +
-        " counter pages (" + std::to_string(counter_bytes) +
-        " bytes) but the plane needs " + std::to_string(plane_pages) + " (" +
-        std::to_string(plane_bytes) + " bytes)");
-  }
+    return Status::OK();
+  };
+  SKETCHTREE_RETURN_NOT_OK(
+      read_pages(PageKind::kMeta, header.meta_length, &parsed.meta));
+  SKETCHTREE_RETURN_NOT_OK(
+      read_pages(PageKind::kCursor, header.cursor_length, &parsed.cursor));
+  SKETCHTREE_RETURN_NOT_OK(
+      read_pages(PageKind::kCounters, plane_bytes, nullptr));
   parsed.counters_contiguous = !parsed.counter_pages.empty();
-  for (size_t i = 0; i < parsed.counter_pages.size(); ++i) {
-    if (parsed.counter_pages[i].entry.file_offset !=
-        parsed.counter_pages[0].entry.file_offset + i * kPagedPageSize) {
-      parsed.counters_contiguous = false;
-      break;
-    }
-  }
   if (parsed.counters_contiguous) {
     parsed.counters_offset = parsed.counter_pages[0].entry.file_offset;
   }
@@ -390,11 +337,9 @@ Status VerifyCounterPages(const ParsedSnapshot& parsed) {
 Status ExtractFullPlane(const ParsedSnapshot& full,
                         std::vector<double>* plane) {
   plane->assign(full.header.counter_doubles, 0.0);
-  char* plane_bytes = reinterpret_cast<char*>(plane->data());
-  for (const ParsedPage& page : full.counter_pages) {
-    std::memcpy(plane_bytes +
-                    static_cast<size_t>(page.entry.page_id) * kPagedPageSize,
-                page.payload.data(), page.payload.size());
+  if (full.counters_contiguous) {
+    std::memcpy(plane->data(), full.counter_pages[0].payload.data(),
+                plane->size() * sizeof(double));
   }
   uint32_t crc = PlaneCrc(plane->data(), plane->size());
   if (crc != full.header.plane_crc) {

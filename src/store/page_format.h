@@ -11,12 +11,13 @@
 
 namespace sketchtree {
 
-/// The v3 paged snapshot format (DESIGN.md section 15).
+/// The v3 paged snapshot format (DESIGN.md section 15): the one
+/// serialized form of a synopsis. A standalone synopsis file, a store
+/// epoch, a build checkpoint and a `shard_snapshot` pull are all this
+/// image; they differ only in the header's epoch and the cursor blob.
 ///
-/// A v2 synopsis file is one CRC-guarded blob: a single flipped bit
-/// condemns the whole file, and loading it means deserializing every
-/// counter. v3 instead lays the synopsis out in 4 KiB page-aligned
-/// blocks behind an explicit directory:
+/// The synopsis is laid out in 4 KiB page-aligned blocks behind an
+/// explicit directory:
 ///
 ///   page 0        fixed header (magic "SKP3", epoch, plane CRC,
 ///                 directory location, header CRC)
@@ -28,9 +29,12 @@ namespace sketchtree {
 ///   counter pages the whole counter plane, 512 doubles per page,
 ///                 written consecutively at page-aligned offsets
 ///
-/// Every payload page carries its own CRC-32, so corruption is typed at
-/// page granularity ("counter page 17 checksum mismatch"), and a mapped
-/// reader checks them in place before attaching. The counter pages are contiguous and raw
+/// The layout is a pure function of the header's lengths, and every
+/// byte of the image is guarded: the header and directory by their
+/// CRCs, each payload page by its own CRC-32 (so corruption is typed at
+/// page granularity, "counter page 17 checksum mismatch"), and every
+/// padding byte by having to be zero. A mapped reader checks the pages
+/// in place before attaching. The counter pages are contiguous and raw
 /// little-endian, which makes the mapped file's counter region directly
 /// usable as the synopsis's counter plane — the zero-copy warm-restart
 /// path.
@@ -40,8 +44,8 @@ namespace sketchtree {
 /// a chain depth) and writes them as zero; an image with any of them set
 /// is refused as InvalidArgument.
 ///
-/// This layer works on byte images only; SynopsisStore (synopsis_store.h)
-/// owns files, epochs, and the SketchTree round trip.
+/// This layer works on byte images only; synopsis_store.h owns files,
+/// epochs, and the SketchTree round trip.
 
 inline constexpr uint32_t kPagedMagic = 0x53'4B'50'33;  // "SKP3".
 inline constexpr uint32_t kPagedVersion = 3;
@@ -95,9 +99,10 @@ struct ParsedPage {
 
 /// How much of the image ParsePagedSnapshot checksums up front.
 enum class PageVerify {
-  /// Header, directory, meta and cursor pages only — counter page CRCs
-  /// are recorded but not computed. `inspect` uses this, then sweeps
-  /// the counters with VerifyCounterPages to name the bad page.
+  /// Header, directory, meta and cursor pages and every padding byte —
+  /// counter page CRCs are recorded but not computed. `inspect` uses
+  /// this, then sweeps the counters with VerifyCounterPages to name the
+  /// bad page.
   kMetaOnly,
   /// Everything, counter pages included.
   kAll,
@@ -110,17 +115,14 @@ struct ParsedSnapshot {
   std::string cursor;  ///< Reassembled cursor blob (cursor_length bytes).
   /// Counter pages in ascending page_id order: exactly 0..N-1.
   std::vector<ParsedPage> counter_pages;
-  /// True when the counter pages form one contiguous full-plane region
-  /// in the image — the precondition for zero-copy attach.
+  /// True when the image holds counter pages. They always form one
+  /// contiguous full-plane region — the precondition for zero-copy
+  /// attach.
   bool counters_contiguous = false;
   /// Byte offset of that region within the input image (valid only when
   /// counters_contiguous). Page-aligned, so the doubles are too.
   size_t counters_offset = 0;
 };
-
-/// True when `bytes` starts with the v3 magic — the format sniff the
-/// CLI uses to route --synopsis files between the v2 and v3 loaders.
-bool IsPagedSnapshot(std::string_view bytes);
 
 /// Encodes a snapshot image: every counter page, contiguous, plus the
 /// meta blob and the (possibly empty) cursor blob.
@@ -130,9 +132,10 @@ std::string EncodeFullSnapshotImage(std::string_view meta,
                                     std::string_view cursor = {});
 
 /// Validates and indexes a v3 image. InvalidArgument for wrong
-/// magic/version or a delta image, OutOfRange for an image too short to
-/// hold what the header promises, Corruption — naming the page index —
-/// for any checksum or structural mismatch.
+/// magic/version (a synopsis file of an older format included) or a
+/// delta image, OutOfRange for an image too short to hold what the
+/// header promises, Corruption — naming the page index — for any
+/// checksum, padding or layout mismatch.
 Result<ParsedSnapshot> ParsePagedSnapshot(std::string_view bytes,
                                           PageVerify verify);
 

@@ -90,27 +90,6 @@ Status AnnotateEpoch(const Status& status, uint64_t epoch) {
   }
 }
 
-/// The second half of the load rule: read the file, check every page
-/// and build the synopsis in owned memory.
-Result<LoadedSynopsis> MaterializeFile(const std::string& path) {
-  Result<std::string> bytes = ReadFileToString(path);
-  if (!bytes.ok()) return bytes.status();
-  Result<ParsedSnapshot> parsed_or =
-      ParsePagedSnapshot(bytes.value(), PageVerify::kAll);
-  if (!parsed_or.ok()) return parsed_or.status();
-  const ParsedSnapshot& parsed = parsed_or.value();
-  std::vector<double> plane;
-  SKETCHTREE_RETURN_NOT_OK(ExtractFullPlane(parsed, &plane));
-  Result<SketchTree> sketch = SketchTree::FromMetaAndCounters(
-      parsed.meta, plane.data(), plane.size(), /*attach=*/false);
-  if (!sketch.ok()) return sketch.status();
-  Metrics().loads_materialized->Increment();
-  LoadedSynopsis loaded(std::move(sketch).value(), parsed.header.epoch,
-                        /*mapped=*/false, nullptr);
-  loaded.cursor = parsed.cursor;
-  return loaded;
-}
-
 }  // namespace
 
 StoreEpochInfo DescribeSnapshot(const ParsedSnapshot& parsed,
@@ -186,12 +165,7 @@ Status SynopsisStore::Persist(const SketchTree& sketch, uint64_t epoch,
         "epoch " + std::to_string(epoch) + " does not advance the store (at " +
         std::to_string(newest_epoch_) + ")");
   }
-  size_t doubles = sketch.CounterPlaneDoubles();
-  std::vector<double> plane(doubles);
-  sketch.CopyCounterPlane(plane.data());
-  std::string image = EncodeFullSnapshotImage(
-      sketch.SerializeMetaToString(), plane.data(), doubles, epoch,
-      sketch.Stats().trees_processed, cursor);
+  std::string image = EncodeSynopsisImage(sketch, epoch, cursor);
   size_t image_bytes = image.size();
 
   uint64_t keep = 0;
@@ -263,7 +237,8 @@ Result<StoreEpochInfo> SynopsisStore::InspectEpoch(uint64_t epoch) const {
 }
 
 Result<SketchTree> SynopsisStore::MaterializeEpoch(uint64_t epoch) const {
-  Result<LoadedSynopsis> loaded = MaterializeFile(EpochPath(epoch));
+  Result<LoadedSynopsis> loaded =
+      LoadPagedSnapshotFile(EpochPath(epoch), /*use_mmap=*/false);
   if (!loaded.ok()) return AnnotateEpoch(loaded.status(), epoch);
   return std::move(loaded.value().sketch);
 }
@@ -291,37 +266,66 @@ Result<LoadedSynopsis> SynopsisStore::LoadNewest() const {
       last_error.ToString());
 }
 
+std::string EncodeSynopsisImage(const SketchTree& sketch, uint64_t epoch,
+                                std::string_view cursor) {
+  std::vector<double> plane(sketch.CounterPlaneDoubles());
+  sketch.CopyCounterPlane(plane.data());
+  return EncodeFullSnapshotImage(sketch.SerializeMetaToString(), plane.data(),
+                                 plane.size(), epoch,
+                                 sketch.Stats().trees_processed, cursor);
+}
+
+Result<LoadedSynopsis> DecodeSynopsisImage(std::string_view bytes,
+                                           std::shared_ptr<MmapFile> mapping) {
+  SKETCHTREE_ASSIGN_OR_RETURN(ParsedSnapshot parsed,
+                              ParsePagedSnapshot(bytes, PageVerify::kAll));
+  const bool attach = mapping != nullptr && parsed.counters_contiguous;
+  std::vector<double> owned;
+  const double* plane = nullptr;
+  if (attach) {
+    plane = reinterpret_cast<const double*>(bytes.data() +
+                                            parsed.counters_offset);
+  } else {
+    mapping.reset();
+    SKETCHTREE_RETURN_NOT_OK(ExtractFullPlane(parsed, &owned));
+    plane = owned.data();
+  }
+  SKETCHTREE_ASSIGN_OR_RETURN(
+      SketchTree sketch,
+      SketchTree::FromMetaAndCounters(parsed.meta, plane,
+                                      parsed.header.counter_doubles, attach));
+  (attach ? Metrics().loads_mapped : Metrics().loads_materialized)
+      ->Increment();
+  LoadedSynopsis loaded(std::move(sketch), parsed.header.epoch, attach,
+                        std::move(mapping));
+  loaded.cursor = std::move(parsed.cursor);
+  return loaded;
+}
+
 Result<LoadedSynopsis> LoadPagedSnapshotFile(const std::string& path,
                                              bool use_mmap) {
   if (use_mmap) {
     Result<MmapFile> mapped = MmapFile::Map(path);
     if (mapped.ok()) {
       auto mapping = std::make_shared<MmapFile>(std::move(mapped).value());
-      Result<ParsedSnapshot> parsed_or =
-          ParsePagedSnapshot(mapping->view(), PageVerify::kAll);
-      if (parsed_or.ok() && parsed_or.value().counters_contiguous) {
-        const ParsedSnapshot& parsed = parsed_or.value();
-        const double* plane = reinterpret_cast<const double*>(
-            mapping->data() + parsed.counters_offset);
-        Result<SketchTree> sketch = SketchTree::FromMetaAndCounters(
-            parsed.meta, plane, parsed.header.counter_doubles,
-            /*attach=*/true);
-        if (sketch.ok()) {
-          Metrics().loads_mapped->Increment();
-          LoadedSynopsis loaded(std::move(sketch).value(),
-                                parsed.header.epoch, /*mapped=*/true,
-                                std::move(mapping));
-          loaded.cursor = parsed.cursor;
-          return loaded;
-        }
-      }
-      // Anything short of a clean attach (a bad page CRC included)
+      std::string_view view = mapping->view();
+      Result<LoadedSynopsis> loaded =
+          DecodeSynopsisImage(view, std::move(mapping));
+      if (loaded.ok()) return loaded;
+      // Anything short of a clean decode (a bad page CRC included)
       // falls through to the portable path, whose typed errors are
       // final.
     }
     Metrics().mmap_fallbacks->Increment();
   }
-  return MaterializeFile(path);
+  SKETCHTREE_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
+  Result<LoadedSynopsis> loaded = DecodeSynopsisImage(bytes);
+  if (loaded.status().IsOutOfRange()) {
+    // A short file on disk is a torn or partial write, not a caller bug.
+    return Status::Corruption("'" + path + "' is truncated: " +
+                              loaded.status().message());
+  }
+  return loaded;
 }
 
 }  // namespace sketchtree

@@ -73,8 +73,8 @@ struct LoadedSynopsis {
 /// newest write turn out torn.
 ///
 /// Read side: every epoch file has one load rule (LoadPagedSnapshotFile):
-/// map it and attach its counter pages zero-copy when they are
-/// contiguous, otherwise read it, check every page and materialize it.
+/// map it and attach its counter pages zero-copy, otherwise read it,
+/// check every page and materialize it.
 /// LoadNewest() walks epochs newest-first and returns the first one that
 /// loads, degrading past typed corruption to older epochs.
 ///
@@ -153,13 +153,28 @@ class SynopsisStore {
   bool wrote_newest_ = false;
 };
 
-/// Loads one v3 paged snapshot file — a store epoch, or `serve
-/// --synopsis` pointed at one. With `use_mmap` the file is mapped and
-/// its contiguous counter pages attached zero-copy once every page's CRC
-/// checks out on the mapped bytes; anything short of a clean attach, and
-/// every load without `use_mmap`, reads the file, checks every page and
-/// materializes it in owned memory.
-/// Delta images of older stores are refused as InvalidArgument.
+/// The one synopsis encoder: `sketch` as a v3 paged image carrying
+/// `epoch` and the caller's `cursor`. A standalone synopsis file
+/// (SketchTree::SaveToFile) is the image at epoch 0 with no cursor.
+std::string EncodeSynopsisImage(const SketchTree& sketch, uint64_t epoch,
+                                std::string_view cursor = {});
+
+/// The one synopsis decoder: checks every page of the image `bytes`
+/// (ParsePagedSnapshot with PageVerify::kAll) and rebuilds the synopsis
+/// with the image's epoch and cursor. Given the `mapping` that `bytes`
+/// views, the counter pages are attached zero-copy; otherwise they are
+/// copied into owned memory and checked against the plane CRC.
+Result<LoadedSynopsis> DecodeSynopsisImage(
+    std::string_view bytes, std::shared_ptr<MmapFile> mapping = nullptr);
+
+/// The one load rule for a synopsis file — a SaveToFile output, a store
+/// epoch, a checkpoint. With `use_mmap` the file is mapped and decoded
+/// in place, its counter pages attached zero-copy; anything short of a
+/// clean mapped decode, and every load without `use_mmap`, reads the
+/// file and decodes it into owned memory (SketchTree::LoadFromFile).
+/// Typed failures: NotFound, IOError, Corruption (a truncated file
+/// included), InvalidArgument (not a v3 image, or a delta image of an
+/// older store).
 Result<LoadedSynopsis> LoadPagedSnapshotFile(const std::string& path,
                                              bool use_mmap);
 

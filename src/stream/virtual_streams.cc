@@ -203,20 +203,11 @@ Status VirtualStreams::MergeFrom(const VirtualStreams& other) {
   return Status::OK();
 }
 
-void VirtualStreams::Save(BinaryWriter* writer, bool with_counters) const {
+void VirtualStreams::Save(BinaryWriter* writer) const {
   writer->WriteU64(values_inserted_);
   writer->WriteU32(options_.num_streams);
   writer->WriteU32(static_cast<uint32_t>(options_.s1));
   writer->WriteU32(static_cast<uint32_t>(options_.s2));
-  if (with_counters) {
-    for (const SketchArray& array : arrays_) {
-      for (int i = 0; i < options_.s2; ++i) {
-        for (int j = 0; j < options_.s1; ++j) {
-          writer->WriteDouble(array.value(i, j));
-        }
-      }
-    }
-  }
   writer->WriteU32(static_cast<uint32_t>(trackers_.size()));
   for (const TopKTracker& tracker : trackers_) {
     // Canonical order, so the serialized bytes are a pure function of
@@ -230,7 +221,7 @@ void VirtualStreams::Save(BinaryWriter* writer, bool with_counters) const {
   }
 }
 
-Status VirtualStreams::Load(BinaryReader* reader, bool with_counters) {
+Status VirtualStreams::Load(BinaryReader* reader) {
   SKETCHTREE_ASSIGN_OR_RETURN(values_inserted_, reader->ReadU64());
   SKETCHTREE_ASSIGN_OR_RETURN(uint32_t num_streams, reader->ReadU32());
   SKETCHTREE_ASSIGN_OR_RETURN(uint32_t s1, reader->ReadU32());
@@ -240,16 +231,6 @@ Status VirtualStreams::Load(BinaryReader* reader, bool with_counters) {
       s2 != static_cast<uint32_t>(options_.s2)) {
     return Status::InvalidArgument(
         "serialized synopsis dimensions do not match the options");
-  }
-  if (with_counters) {
-    for (SketchArray& array : arrays_) {
-      for (int i = 0; i < options_.s2; ++i) {
-        for (int j = 0; j < options_.s1; ++j) {
-          SKETCHTREE_ASSIGN_OR_RETURN(double x, reader->ReadDouble());
-          array.set_value(i, j, x);
-        }
-      }
-    }
   }
   SKETCHTREE_ASSIGN_OR_RETURN(uint32_t num_trackers, reader->ReadU32());
   if (num_trackers != trackers_.size()) {

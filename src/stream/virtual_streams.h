@@ -121,20 +121,19 @@ class VirtualStreams {
   /// afterwards. Enables parallel/distributed stream ingestion.
   Status MergeFrom(const VirtualStreams& other);
 
-  /// Serializes the mutable state: stream length, dimensions, the
-  /// counter planes (only `with_counters`) and the top-k entries in
-  /// canonical order. The xi families and sampling RNG are rebuilt from
-  /// the options on load. The v2 synopsis format writes the counters
-  /// inline; the paged store (src/store/) pages them out separately as
-  /// page-aligned blocks, so its "meta" blob is the state without them.
-  void Save(BinaryWriter* writer, bool with_counters) const;
+  /// Serializes the mutable state except the counters: stream length,
+  /// dimensions and the top-k entries in canonical order. The xi
+  /// families and sampling RNG are rebuilt from the options on load, and
+  /// the synopsis image (store/page_format.h) pages the counter plane
+  /// out separately as page-aligned blocks.
+  void Save(BinaryWriter* writer) const;
 
   /// Restores Save state into a VirtualStreams created with the *same
-  /// options*; without counters the planes are left untouched (the store
-  /// loads or attaches them afterwards). Safe on a synopsis that already
-  /// holds state: trackers are cleared and rebuilt from the entries.
-  /// Fails on dimension mismatches or truncation.
-  Status Load(BinaryReader* reader, bool with_counters);
+  /// options*, leaving the counter planes untouched (the caller loads or
+  /// attaches them afterwards). Safe on a synopsis that already holds
+  /// state: trackers are cleared and rebuilt from the entries. Fails on
+  /// dimension mismatches or truncation.
+  Status Load(BinaryReader* reader);
 
   /// Doubles in the full counter plane: num_streams * s1 * s2. The
   /// global plane is the concatenation of every stream's row-major

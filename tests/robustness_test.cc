@@ -150,8 +150,8 @@ TEST(RobustnessTest, DeserializerSurvivesRandomCorruption) {
     std::string corrupted = bytes;
     size_t pos = rng.NextBounded(corrupted.size());
     corrupted[pos] = static_cast<char>(rng.NextBounded(256));
-    // Must terminate with OK (benign counter flip) or a clean error —
-    // never crash or read out of bounds.
+    // Must terminate with OK (the byte was rewritten with its own
+    // value) or a clean error — never crash or read out of bounds.
     (void)SketchTree::DeserializeFromString(corrupted);
   }
 }

@@ -9,6 +9,7 @@
 #include "datagen/treebank_gen.h"
 #include "faultinject/fault_injector.h"
 #include "query/pattern_query.h"
+#include "store/page_format.h"
 #include "temp_path.h"
 #include "tree/tree_serialization.h"
 
@@ -161,18 +162,20 @@ std::string TinySerializedSketch() {
   return sketch.SerializeToString();
 }
 
-// The v2 layout's section boundaries: header, options, stream counters,
-// virtual-streams state, summary, CRC trailer. Truncating at (and one
-// byte past) each, plus a sweep of interior cuts, must yield a typed
-// error — never a crash, never success.
+// The image's section boundaries are its page boundaries: header,
+// directory, meta pages, counter pages. Truncating at each, one byte
+// either side, plus a sweep of interior cuts, must yield a typed error —
+// never a crash, never success.
 TEST(SerializationTest, TruncationAtEverySectionBoundaryIsRejected) {
   std::string bytes = TinySerializedSketch();
-  std::vector<size_t> cuts = {0, 1, 4, 7, 8, 9};
-  // Options section spans [8, 73); cover its field edges and then every
-  // eighth byte through the streams/summary payload.
-  for (size_t cut = 12; cut < 73; cut += 4) cuts.push_back(cut);
-  for (size_t cut = 73; cut < bytes.size(); cut += 8) cuts.push_back(cut);
-  cuts.push_back(bytes.size() - 5);  // Into the CRC trailer.
+  ASSERT_EQ(bytes.size() % kPagedPageSize, 0u);
+  std::vector<size_t> cuts = {0, 1, 4, 7, 8, 9, kPagedHeaderBytes - 1,
+                              kPagedHeaderBytes, kPagedHeaderBytes + 1};
+  for (size_t page = kPagedPageSize; page < bytes.size();
+       page += kPagedPageSize) {
+    cuts.insert(cuts.end(), {page - 1, page, page + 1});
+  }
+  for (size_t cut = 0; cut < bytes.size(); cut += 97) cuts.push_back(cut);
   cuts.push_back(bytes.size() - 1);
   for (size_t cut : cuts) {
     Result<SketchTree> r =
@@ -184,10 +187,10 @@ TEST(SerializationTest, TruncationAtEverySectionBoundaryIsRejected) {
   }
 }
 
-// A single flipped bit anywhere in the synopsis must be caught — the
-// trailing CRC covers the payload, and a flip inside the trailer breaks
-// the stored checksum itself. Without this, a bit flip in a counter
-// plane would silently skew every estimate.
+// A single flipped bit anywhere in the synopsis must be caught: every
+// byte of the image is under the header CRC, the directory CRC, a page
+// CRC, or the rule that padding is zero. Without this, a bit flip in a
+// counter plane would silently skew every estimate.
 TEST(SerializationTest, BitFlipAtEveryByteIsRejected) {
   std::string bytes = TinySerializedSketch();
   for (size_t pos = 0; pos < bytes.size(); ++pos) {
@@ -248,6 +251,26 @@ TEST(SerializationTest, RoundTripPreservesRemovalCounters) {
   EXPECT_EQ(restored.Stats().trees_removed, sketch.Stats().trees_removed);
   EXPECT_EQ(restored.Stats().patterns_removed,
             sketch.Stats().patterns_removed);
+}
+
+// A synopsis file of the retired v2 format ("SKTR" magic, version 2,
+// one CRC-guarded blob) is refused with a message that says to rebuild.
+TEST(SerializationTest, V2SynopsisIsRefusedAsInvalidArgument) {
+  BinaryWriter writer;
+  writer.WriteU32(0x53'4B'54'52);  // "SKTR".
+  writer.WriteU32(2);
+  for (uint64_t i = 0; i < 64; ++i) writer.WriteU64(i);
+  const std::string v2 = writer.Release();
+  std::string path = TempPath("sketchtree_v2_test.bin");
+  ASSERT_TRUE(WriteFileAtomic(path, v2).ok());
+  for (const Result<SketchTree>& r : {SketchTree::DeserializeFromString(v2),
+                                      SketchTree::LoadFromFile(path)}) {
+    ASSERT_FALSE(r.ok());
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
+    EXPECT_NE(r.status().ToString().find("rebuild"), std::string::npos)
+        << r.status().ToString();
+  }
+  std::remove(path.c_str());
 }
 
 TEST(SerializationTest, MissingFileIsNotFound) {

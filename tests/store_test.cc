@@ -115,7 +115,9 @@ TEST_F(StoreTest, FullImageParsesAndExtracts) {
                                               plane.size(), /*epoch=*/7,
                                               /*trees=*/20);
   ASSERT_EQ(image.size() % kPagedPageSize, 0u);
-  ASSERT_TRUE(IsPagedSnapshot(image));
+  uint32_t magic = 0;
+  std::memcpy(&magic, image.data(), sizeof magic);
+  ASSERT_EQ(magic, kPagedMagic);
 
   Result<ParsedSnapshot> parsed = ParsePagedSnapshot(image, PageVerify::kAll);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
@@ -299,9 +301,8 @@ TEST_F(StoreTest, LoadNewestDegradesPastCorruptEpoch) {
   sketch.Update(*ParseSExpr("A(B,C)"));
   ASSERT_TRUE(store->Persist(sketch, 2).ok());
 
-  // Flip a byte in epoch 2's counter payload on disk. The directory
-  // pins the payload location — padding bytes are not CRC-guarded, so
-  // the flip must land inside the payload proper.
+  // Flip a byte in epoch 2's counter payload on disk, where the page's
+  // CRC (not the zero-padding check) must catch it.
   std::string path = DirString() + "/" + SynopsisStore::EpochFileName(2);
   Result<std::string> bytes = ReadFileToString(path);
   ASSERT_TRUE(bytes.ok());
@@ -342,6 +343,58 @@ TEST_F(StoreTest, LoadNewestDegradesPastCorruptEpoch) {
                 "counter page " + std::to_string(victim.entry.page_id)),
             std::string::npos)
       << info->page_verdict.ToString();
+}
+
+TEST_F(StoreTest, PaddingFlipInNewestEpochDegradesToPredecessor) {
+  SketchTree sketch = BuildSketch(10, SmallOptions());
+  Result<SynopsisStore> store = SynopsisStore::Open(DirString());
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE(store->Persist(sketch, 1, "cursor").ok());
+  sketch.Update(*ParseSExpr("A(B,C)"));
+  ASSERT_TRUE(store->Persist(sketch, 2, "cursor").ok());
+  const std::string path =
+      DirString() + "/" + SynopsisStore::EpochFileName(2);
+  Result<std::string> bytes = ReadFileToString(path);
+  ASSERT_TRUE(bytes.ok());
+  Result<ParsedSnapshot> intact = ParsePagedSnapshot(*bytes, PageVerify::kAll);
+  ASSERT_TRUE(intact.ok()) << intact.status().ToString();
+  const PagedHeader& header = intact->header;
+  const ParsedPage& last_counters = intact->counter_pages.back();
+  ASSERT_LT(last_counters.entry.payload_length, kPagedPageSize);
+  ASSERT_LT(header.meta_length, kPagedPageSize);
+  // One byte past the used part of each kind of padded page: the header
+  // page, the directory, the (single) meta and cursor pages just before
+  // the counter pages, and the last counter page.
+  const uint64_t meta_page = intact->counters_offset - 2 * kPagedPageSize;
+  const uint64_t padding[] = {
+      kPagedHeaderBytes + 100,
+      header.dir_offset + header.dir_length + 1,
+      meta_page + header.meta_length + 1,
+      meta_page + kPagedPageSize + header.cursor_length + 1,
+      last_counters.entry.file_offset + last_counters.entry.payload_length +
+          1};
+  SynopsisStoreOptions owned;
+  owned.use_mmap = false;
+  for (uint64_t offset : padding) {
+    SCOPED_TRACE("padding byte " + std::to_string(offset));
+    ASSERT_EQ((*bytes)[offset], '\0');
+    std::string damaged = *bytes;
+    damaged[offset] = 0x20;
+    ASSERT_TRUE(WriteFileAtomic(path, damaged).ok());
+
+    Result<StoreEpochInfo> info = store->InspectEpoch(2);
+    EXPECT_TRUE(info.status().IsCorruption()) << info.status().ToString();
+    EXPECT_NE(info.status().ToString().find("padding"), std::string::npos)
+        << info.status().ToString();
+    for (const SynopsisStoreOptions& options :
+         {SynopsisStoreOptions{}, owned}) {
+      Result<LoadedSynopsis> loaded =
+          SynopsisStore::Open(DirString(), options)->LoadNewest();
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      EXPECT_EQ(loaded->epoch, 1u);
+      EXPECT_EQ(loaded->sketch.Stats().trees_processed, 10u);
+    }
+  }
 }
 
 TEST_F(StoreTest, PersistRejectsNonAdvancingEpoch) {

@@ -11,15 +11,20 @@
 //                           --expression "COUNT_ORD(A(B)) * COUNT_ORD(C)"
 //   sketchtree_cli serve    --synopsis synopsis.bin [--port 7227]
 //   sketchtree_cli stats    --synopsis synopsis.bin
+//   sketchtree_cli inspect  --synopsis synopsis.bin
 //
 // The input forest is one XML document whose root's children are the
-// stream trees (the paper's Section 7.2 construction). The synopsis file
-// is the self-contained binary produced by SketchTree::SaveToFile; a
-// build can be resumed by loading it and streaming more documents.
+// stream trees (the paper's Section 7.2 construction). A synopsis file
+// is the v3 paged image SketchTree::SaveToFile writes — the same
+// encoding as a store epoch or a checkpoint, so every --synopsis,
+// --inputs and --append reader takes either. `serve` maps the file; the
+// other commands read it into memory. A build can be extended by
+// loading it (--append) and streaming more documents.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -27,6 +32,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/atomic_file.h"
@@ -46,7 +52,6 @@
 #include "server/tcp_server.h"
 #include "sketch/health.h"
 #include "stats/sentinel.h"
-#include "store/page_format.h"
 #include "store/synopsis_store.h"
 #include "trace/trace.h"
 #include "xml/xml_tree_reader.h"
@@ -63,6 +68,37 @@ constexpr int kExitFailure = EXIT_FAILURE; // 1: hard failure, no output.
 constexpr int kExitUsage = 2;              // bad command line.
 constexpr int kExitQuarantined = 3;        // completed, trees quarantined.
 
+/// What an option's value must be. A count is a non-negative integer;
+/// an int may be negative (--hedge-ms -1 disables hedging).
+enum class OptionKind { kFlag, kText, kCount, kInt, kReal };
+
+/// Every option any command takes; any other name is a usage error.
+using enum OptionKind;
+constexpr std::pair<std::string_view, OptionKind> kOptions[] = {
+    {"append", kText}, {"breaker-cooldown-ms", kCount},
+    {"breaker-threshold", kCount}, {"cache", kCount},
+    {"checkpoint-dir", kText}, {"checkpoint-every", kCount},
+    {"client-burst", kReal}, {"client-quota", kReal}, {"delta", kReal},
+    {"epsilon", kReal}, {"expression", kText}, {"fail-fast", kFlag},
+    {"fast-threshold", kReal}, {"faults", kText}, {"hedge-ms", kInt},
+    {"input", kText}, {"inputs", kText}, {"json", kFlag}, {"k", kCount},
+    {"lanes", kCount}, {"max-arrangements", kCount}, {"metrics-json", kText},
+    {"no-mmap", kFlag}, {"output", kText}, {"parse-threads", kCount},
+    {"pattern", kText}, {"plan-save-every-ms", kCount}, {"port", kCount},
+    {"publish-every", kCount}, {"quarantine", kText}, {"query", kText},
+    {"queue", kCount}, {"refresh-every-ms", kCount}, {"resume", kFlag},
+    {"retries", kCount}, {"s1", kCount}, {"s2", kCount}, {"seed", kCount},
+    {"sentinel", kCount}, {"shard-deadline-ms", kCount}, {"shards", kText},
+    {"slow-query-ms", kCount}, {"slow-queue", kCount},
+    {"slowlog-capacity", kCount}, {"starvation-bound", kCount},
+    {"store", kText}, {"strategy", kText}, {"streams", kCount},
+    {"summary", kFlag}, {"synopsis", kText}, {"threads", kCount},
+    {"topk", kCount}, {"trace-out", kText}, {"trace-sample", kCount},
+    {"unordered", kFlag}, {"workers", kCount},
+};
+
+/// A parsed command line. ParseArgs has checked every option name and
+/// every numeric value, so the getters cannot meet a malformed one.
 struct Args {
   std::string command;
   std::map<std::string, std::string> options;
@@ -160,19 +196,25 @@ int Usage() {
       "  compiled plans to DIR/plans.skpc every --plan-save-every-ms\n"
       "  (default 2000; 0 disables). serve --store DIR *alone*\n"
       "  warm-restarts: the newest intact epoch is mmap-attached\n"
-      "  read-only (--no-mmap or a failed map falls back to the\n"
-      "  deserialize path, bit-identical either way), epoch numbering\n"
+      "  read-only (--no-mmap or a failed map reads it into memory\n"
+      "  instead, bit-identical either way), epoch numbering\n"
       "  continues where it left off, and the restored plan cache means\n"
-      "  the first warm query compiles nothing. --synopsis also accepts\n"
-      "  a store epoch file (v3, sniffed by magic). See DESIGN.md\n"
-      "  section 15.\n"
+      "  the first warm query compiles nothing. See DESIGN.md section\n"
+      "  15.\n"
       "\n"
-      "  inspect prints a sketch health report (per-row occupancy and\n"
-      "  moments, self-join size, Theorem-1 error scale, warnings);\n"
-      "  --json emits it as a JSON object instead. inspect --store DIR\n"
-      "  (or --synopsis on a v3 file) prints the page-level report —\n"
-      "  page counts, cursor bytes, per-page CRC verdict — without\n"
-      "  loading counters; exit 1 if any epoch fails validation.\n"
+      "  a synopsis file is a v3 paged image, the same encoding as a\n"
+      "  store epoch: every --synopsis, --inputs and --append takes\n"
+      "  either. serve maps it read-only; the other commands read it\n"
+      "  into memory. Files written in the older v2 format are refused;\n"
+      "  rebuild them.\n"
+      "\n"
+      "  inspect --synopsis prints the file's page-level report — page\n"
+      "  counts, cursor bytes, per-page CRC verdict — and then, when\n"
+      "  every page verifies, a sketch health report (per-row occupancy\n"
+      "  and moments, self-join size, Theorem-1 error scale, warnings);\n"
+      "  --json emits one JSON object holding both. inspect --store DIR\n"
+      "  prints the page-level report of every epoch without loading\n"
+      "  counters. Exit 1 if any page fails validation.\n"
       "\n"
       "  build --sentinel K tracks exact counts for a K-pattern bottom-K\n"
       "  sample during a single-threaded build and reports the observed\n"
@@ -215,14 +257,41 @@ int Usage() {
       "  SPEC = site@skip[xcount][:param],...\n"
       "\n"
       "  exit codes: 0 success; 1 hard failure (no usable output);\n"
-      "  2 usage error; 3 build completed and synopsis written, but\n"
-      "  some stream trees were quarantined.\n");
+      "  2 usage error (an unknown option, or a numeric option whose\n"
+      "  value is not a number, or negative where a count is due);\n"
+      "  3 build completed and synopsis written, but some stream trees\n"
+      "  were quarantined.\n");
   return kExitUsage;
 }
 
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return kExitFailure;
+}
+
+/// InvalidArgument naming the option unless `value` is, in full, a
+/// number of the option's kind.
+Status CheckOptionValue(const std::string& name, OptionKind kind,
+                        const std::string& value) {
+  const char* begin = value.c_str();
+  const char* end = begin + value.size();
+  bool ok = false;
+  if (kind == OptionKind::kReal) {
+    char* parsed_end = nullptr;
+    std::strtod(begin, &parsed_end);
+    ok = !value.empty() && parsed_end == end;
+  } else {
+    long number = 0;
+    std::from_chars_result parsed = std::from_chars(begin, end, number);
+    ok = parsed.ec == std::errc() && parsed.ptr == end &&
+         (kind == OptionKind::kInt || number >= 0);
+  }
+  if (ok) return Status::OK();
+  const char* what = kind == OptionKind::kCount ? "a non-negative integer"
+                     : kind == OptionKind::kInt ? "an integer"
+                                                : "a number";
+  return Status::InvalidArgument("--" + name + " must be " + what +
+                                 ", not '" + value + "'");
 }
 
 Result<Args> ParseArgs(int argc, char** argv) {
@@ -236,18 +305,41 @@ Result<Args> ParseArgs(int argc, char** argv) {
                                      std::string(arg) + "'");
     }
     std::string name(arg.substr(2));
+    const auto* option =
+        std::find_if(std::begin(kOptions), std::end(kOptions),
+                     [&](const auto& entry) { return entry.first == name; });
+    if (option == std::end(kOptions)) {
+      return Status::InvalidArgument("unknown option --" + name);
+    }
     // Boolean flags take no value; everything else consumes the next arg.
-    if (name == "summary" || name == "unordered" || name == "resume" ||
-        name == "fail-fast" || name == "json" || name == "no-mmap") {
+    if (option->second == OptionKind::kFlag) {
       args.flags.push_back(name);
       continue;
     }
     if (i + 1 >= argc) {
       return Status::InvalidArgument("--" + name + " needs a value");
     }
-    args.options[name] = argv[++i];
+    std::string value = argv[++i];
+    if (option->second != OptionKind::kText) {
+      SKETCHTREE_RETURN_NOT_OK(CheckOptionValue(name, option->second, value));
+    }
+    args.options[name] = std::move(value);
   }
   return args;
+}
+
+/// The sketch options of a synopsis `build` or `serve --input` creates.
+SketchTreeOptions SketchOptionsFromArgs(const Args& args) {
+  SketchTreeOptions options;
+  options.max_pattern_edges = static_cast<int>(args.GetLong("k", 4));
+  options.s1 = static_cast<int>(args.GetLong("s1", 50));
+  options.s2 = static_cast<int>(args.GetLong("s2", 7));
+  options.num_virtual_streams =
+      static_cast<uint32_t>(args.GetLong("streams", 229));
+  options.topk_size = static_cast<size_t>(args.GetLong("topk", 100));
+  options.seed = static_cast<uint64_t>(args.GetLong("seed", 42));
+  options.build_structural_summary = args.HasFlag("summary");
+  return options;
 }
 
 /// Rate-limited build progress on stderr. Reads the process metrics
@@ -359,7 +451,6 @@ int RunBuild(const Args& args) {
   // --threads, the bounded hand-off queue) is materialized.
   long threads = args.GetLong("threads", 1);
   if (threads < 1) {
-    // Catches both explicit nonsense and atol() failing to parse.
     std::fprintf(stderr, "error: --threads must be a positive integer\n");
     return kExitUsage;
   }
@@ -448,16 +539,7 @@ int RunBuild(const Args& args) {
     if (resumed.has_value()) return std::move(*resumed);
     std::string append = args.Get("append");
     if (!append.empty()) return SketchTree::LoadFromFile(append);
-    SketchTreeOptions options;
-    options.max_pattern_edges = static_cast<int>(args.GetLong("k", 4));
-    options.s1 = static_cast<int>(args.GetLong("s1", 50));
-    options.s2 = static_cast<int>(args.GetLong("s2", 7));
-    options.num_virtual_streams =
-        static_cast<uint32_t>(args.GetLong("streams", 229));
-    options.topk_size = static_cast<size_t>(args.GetLong("topk", 100));
-    options.seed = static_cast<uint64_t>(args.GetLong("seed", 42));
-    options.build_structural_summary = args.HasFlag("summary");
-    return SketchTree::Create(options);
+    return SketchTree::Create(SketchOptionsFromArgs(args));
   }();
   if (!sketch_result.ok()) return Fail(sketch_result.status());
   SketchTree sketch = std::move(sketch_result).value();
@@ -857,24 +939,6 @@ int RunCoordinator(const Args& args, const std::string& shards_csv) {
   return EXIT_SUCCESS;
 }
 
-/// serve --synopsis accepts both formats: the v2 self-contained file
-/// (PR-5 deserialize path) and a v3 paged store epoch, sniffed by the
-/// leading magic so existing invocations keep working unchanged.
-Result<LoadedSynopsis> LoadServeSynopsis(const std::string& path,
-                                         bool use_mmap) {
-  char head[4] = {0};
-  std::ifstream probe(path, std::ios::binary);
-  probe.read(head, sizeof head);
-  if (probe.gcount() == sizeof(head) &&
-      IsPagedSnapshot(std::string_view(head, sizeof head))) {
-    return LoadPagedSnapshotFile(path, use_mmap);
-  }
-  SKETCHTREE_ASSIGN_OR_RETURN(SketchTree sketch,
-                              SketchTree::LoadFromFile(path));
-  return LoadedSynopsis(std::move(sketch), /*epoch=*/1, /*mapped=*/false,
-                        nullptr);
-}
-
 int RunServe(const Args& args) {
   std::string shards_csv = args.Get("shards");
   if (!shards_csv.empty()) return RunCoordinator(args, shards_csv);
@@ -922,16 +986,8 @@ int RunServe(const Args& args) {
   SketchTreeOptions sketch_options;
 
   if (!input.empty()) {
-    SketchTreeOptions options;
-    options.max_pattern_edges = static_cast<int>(args.GetLong("k", 4));
-    options.s1 = static_cast<int>(args.GetLong("s1", 50));
-    options.s2 = static_cast<int>(args.GetLong("s2", 7));
-    options.num_virtual_streams =
-        static_cast<uint32_t>(args.GetLong("streams", 229));
-    options.topk_size = static_cast<size_t>(args.GetLong("topk", 100));
-    options.seed = static_cast<uint64_t>(args.GetLong("seed", 42));
-    options.build_structural_summary = args.HasFlag("summary");
-    Result<SketchTree> created = SketchTree::Create(options);
+    Result<SketchTree> created =
+        SketchTree::Create(SketchOptionsFromArgs(args));
     if (!created.ok()) return Fail(created.status());
     live.emplace(std::move(created).value());
     sketch_options = live->options();
@@ -943,7 +999,7 @@ int RunServe(const Args& args) {
     Result<uint64_t> first = publisher.PublishCopyOf(*live);
     if (!first.ok()) return Fail(first.status());
   } else if (!synopsis.empty()) {
-    Result<LoadedSynopsis> loaded = LoadServeSynopsis(synopsis, use_mmap);
+    Result<LoadedSynopsis> loaded = LoadPagedSnapshotFile(synopsis, use_mmap);
     if (!loaded.ok()) return Fail(loaded.status());
     sketch_options = loaded->sketch.options();
     mapping = loaded->mapping;
@@ -1233,9 +1289,11 @@ int RunInspectStore(const Args& args, const std::string& dir) {
   return all_ok ? kExitOk : kExitFailure;
 }
 
-/// inspect --synopsis on a v3 paged file: the same page-level report
-/// for one standalone snapshot.
-int RunInspectPagedFile(const Args& args, const std::string& path) {
+/// inspect --synopsis FILE: the page report of the image — counters
+/// checked page by page, not loaded — and then, when every page
+/// verifies, the synopsis's health report. --json prints one object
+/// holding both. Exit 1 if a page fails or the synopsis does not load.
+int RunInspectSynopsis(const Args& args, const std::string& path) {
   Result<std::string> bytes = ReadFileToString(path);
   if (!bytes.ok()) return Fail(bytes.status());
   Result<ParsedSnapshot> parsed =
@@ -1244,11 +1302,26 @@ int RunInspectPagedFile(const Args& args, const std::string& path) {
   StoreEpochInfo info =
       DescribeSnapshot(parsed.value(), path, bytes.value().size());
   bool json = args.HasFlag("json");
-  if (json) std::printf("{\"snapshots\":[");
-  else std::printf("paged snapshot: %s\n", path.c_str());
-  bool ok = ReportEpochInfo(info, json, /*first=*/true);
-  if (json) std::printf("],\"ok\":%s}\n", ok ? "true" : "false");
-  return ok ? kExitOk : kExitFailure;
+  if (json) std::printf("{\"synopsis\":\"%s\",\"pages\":", path.c_str());
+  else std::printf("synopsis: %s\n", path.c_str());
+  bool pages_ok = ReportEpochInfo(info, json, /*first=*/true);
+  Result<LoadedSynopsis> loaded =
+      pages_ok ? DecodeSynopsisImage(bytes.value())
+               : Result<LoadedSynopsis>(info.page_verdict);
+  if (!loaded.ok()) {
+    if (json) std::printf(",\"ok\":false}\n");
+    return Fail(loaded.status());
+  }
+  SketchHealthReport report = ComputeSketchHealth(loaded->sketch);
+  PublishHealthMetrics(report, &GlobalMetrics());
+  if (json) {
+    std::string health = report.ToJson();
+    while (!health.empty() && health.back() == '\n') health.pop_back();
+    std::printf(",\"health\":%s,\"ok\":true}\n", health.c_str());
+  } else {
+    std::fputs(report.ToText().c_str(), stdout);
+  }
+  return kExitOk;
 }
 
 int RunInspect(const Args& args) {
@@ -1256,26 +1329,7 @@ int RunInspect(const Args& args) {
   if (!store_dir.empty()) return RunInspectStore(args, store_dir);
   std::string synopsis = args.Get("synopsis");
   if (synopsis.empty()) return Usage();
-  {
-    char head[4] = {0};
-    std::ifstream probe(synopsis, std::ios::binary);
-    probe.read(head, sizeof head);
-    if (probe.gcount() == sizeof(head) &&
-        IsPagedSnapshot(std::string_view(head, sizeof head))) {
-      return RunInspectPagedFile(args, synopsis);
-    }
-  }
-  Result<SketchTree> sketch = SketchTree::LoadFromFile(synopsis);
-  if (!sketch.ok()) return Fail(sketch.status());
-  SketchHealthReport report = ComputeSketchHealth(*sketch);
-  PublishHealthMetrics(report, &GlobalMetrics());
-  if (args.HasFlag("json")) {
-    std::fputs(report.ToJson().c_str(), stdout);
-  } else {
-    std::printf("synopsis: %s\n", synopsis.c_str());
-    std::fputs(report.ToText().c_str(), stdout);
-  }
-  return EXIT_SUCCESS;
+  return RunInspectSynopsis(args, synopsis);
 }
 
 /// Writes the process metrics registry to `path` as JSON. Runs even
